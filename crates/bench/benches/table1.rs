@@ -6,7 +6,7 @@
 //! explicit enumerator reproduces the same construction at |E| = 2–4 so that
 //! `cargo bench` completes in minutes. The shape of the table — counts that
 //! grow steeply with |E|, no Forbid test ever observed, most Allow tests
-//! observed on x86 — is the reproduction target (see EXPERIMENTS.md).
+//! observed on x86 — is the reproduction target.
 
 use tm_bench::{measure, table1_targets};
 use tm_sim::{run_suite, SimArch, SuiteObservation};

@@ -1,5 +1,6 @@
 //! Shared helpers for the benchmark harness that regenerates the paper's
-//! tables and figures (see the `benches/` directory and EXPERIMENTS.md).
+//! tables and figures (see the `benches/` directory and the README's
+//! "Benchmarks" section).
 //!
 //! Each bench prints the reproduced table/figure data on standard output and
 //! then times its hot kernels with [`measure`], so that `cargo bench` both

@@ -37,7 +37,7 @@ use crate::{Event, EventKind, Fence, Loc, LockCall, ThreadId};
 /// assert!(exec.fr().contains(rx, wx));
 /// # Ok::<(), tm_exec::WellFormednessError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 pub struct Execution {
     /// The events of the execution, in identifier order.
     pub events: Vec<Event>,
@@ -63,6 +63,57 @@ pub struct Execution {
     pub scr: Relation,
     /// Same-*transactionalised*-critical-region (`scrt ⊆ scr`).
     pub scrt: Relation,
+}
+
+impl Clone for Execution {
+    fn clone(&self) -> Execution {
+        Execution {
+            events: self.events.clone(),
+            po: self.po.clone(),
+            rf: self.rf.clone(),
+            co: self.co.clone(),
+            addr: self.addr.clone(),
+            data: self.data.clone(),
+            ctrl: self.ctrl.clone(),
+            rmw: self.rmw.clone(),
+            stxn: self.stxn.clone(),
+            stxnat: self.stxnat.clone(),
+            scr: self.scr.clone(),
+            scrt: self.scrt.clone(),
+        }
+    }
+
+    /// Reuses `self`'s storage, so refreshing a probe buffer from a
+    /// same-sized candidate allocates nothing.
+    fn clone_from(&mut self, source: &Execution) {
+        // Destructured so that a new field cannot be left out here.
+        let Execution {
+            events,
+            po,
+            rf,
+            co,
+            addr,
+            data,
+            ctrl,
+            rmw,
+            stxn,
+            stxnat,
+            scr,
+            scrt,
+        } = self;
+        events.clone_from(&source.events);
+        po.clone_from(&source.po);
+        rf.clone_from(&source.rf);
+        co.clone_from(&source.co);
+        addr.clone_from(&source.addr);
+        data.clone_from(&source.data);
+        ctrl.clone_from(&source.ctrl);
+        rmw.clone_from(&source.rmw);
+        stxn.clone_from(&source.stxn);
+        stxnat.clone_from(&source.stxnat);
+        scr.clone_from(&source.scr);
+        scrt.clone_from(&source.scrt);
+    }
 }
 
 impl Execution {

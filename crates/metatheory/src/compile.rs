@@ -1,14 +1,15 @@
 //! Compilation of C++ transactions to hardware (§8.2, middle block of
 //! Table 2).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use tm_exec::{Annot, Event, ExecView, Execution, ExecutionBuilder, Fence};
+use tm_exec::ir::Delta;
+use tm_exec::{Annot, Event, Execution, ExecutionBuilder, Fence};
 use tm_litmus::Arch;
 use tm_models::{Armv8Model, CppModel, MemoryModel, PowerModel, X86Model};
-use tm_synth::{enumerate_exact, SynthConfig};
+use tm_synth::SynthConfig;
+
+use crate::search::{delta_checker, Search};
 
 /// The outcome of a bounded compilation-soundness check.
 #[derive(Clone, Debug)]
@@ -17,13 +18,15 @@ pub struct CompilationResult {
     pub target: Arch,
     /// The event-count bound reached (source events).
     pub max_events: usize,
-    /// Number of source executions examined.
+    /// Number of source executions examined. The search stops at the first
+    /// counterexample, so when one exists this counts the executions
+    /// examined up to the stop.
     pub checked: usize,
     /// A counterexample, if one exists within the bound: a C++ execution
     /// that the C++ TM model forbids whose compiled image the hardware TM
-    /// model allows. The parallel search makes *which* counterexample is
-    /// reported (and the exact `checked` count at the find) run-dependent;
-    /// existence is deterministic.
+    /// model allows. Whether one exists is deterministic; *which* one is
+    /// reported (and `checked` with it) depends on the enumeration order
+    /// and the number of enumeration workers.
     pub counterexample: Option<(Execution, Execution)>,
     /// Wall-clock time spent.
     pub elapsed: Duration,
@@ -149,6 +152,10 @@ pub fn compile_execution(source: &Execution, target: Arch) -> Execution {
 
 /// Checks soundness of compiling C++ transactions to `target` for every C++
 /// execution with up to `max_events` events under `config`.
+///
+/// Each worker drives one C++ TM [`DeltaChecker`](tm_models::DeltaChecker)
+/// along the delta-threading enumeration; only the candidates it rejects
+/// are compiled and checked, from scratch, against the hardware model.
 pub fn check_compilation(
     target: Arch,
     config: &SynthConfig,
@@ -162,38 +169,31 @@ pub fn check_compilation(
         Arch::Armv8 => Box::new(Armv8Model::tm()),
         Arch::Cpp => Box::new(CppModel::tm()),
     };
-    let checked = AtomicUsize::new(0);
-    let found = AtomicBool::new(false);
-    let counterexample: Mutex<Option<(Execution, Execution)>> = Mutex::new(None);
-
-    for n in 2..=max_events {
-        if found.load(Ordering::Relaxed) {
-            break;
-        }
-        enumerate_exact(config, n, |exec| {
-            if found.load(Ordering::Relaxed) {
+    let search = Search::new();
+    search.run(config, max_events, || {
+        let (search, hardware) = (&search, &hardware);
+        let mut checker = delta_checker(&cpp);
+        move |exec: &Execution, delta: &Delta| {
+            checker.advance(exec, delta);
+            if search.stopped() {
                 return;
             }
-            checked.fetch_add(1, Ordering::Relaxed);
-            if cpp.is_consistent_view(&ExecView::new(exec)) {
+            search.count();
+            if checker.is_consistent(exec) {
                 return;
             }
             let compiled = compile_execution(exec, target);
-            if hardware.is_consistent_view(&ExecView::new(&compiled)) {
-                found.store(true, Ordering::Relaxed);
-                counterexample
-                    .lock()
-                    .unwrap()
-                    .get_or_insert((exec.clone(), compiled));
+            if hardware.is_consistent(&compiled) {
+                search.report((exec.clone(), compiled));
             }
-        });
-    }
-
+        }
+    });
+    let (checked, counterexample) = search.finish();
     CompilationResult {
         target,
         max_events,
-        checked: checked.into_inner(),
-        counterexample: counterexample.into_inner().unwrap(),
+        checked,
+        counterexample,
         elapsed: start.elapsed(),
     }
 }

@@ -18,6 +18,11 @@
 //! * [`check_theorem_7_2`] / [`check_theorem_7_3`] — bounded checks of the
 //!   two hand-proved theorems about the C++ TM model (§7).
 //!
+//! The bounded searches (all but lock elision, which checks a fixed family)
+//! walk the delta-threading enumerator with one stateful
+//! [`DeltaChecker`](tm_models::DeltaChecker) per worker, and stop at the
+//! first counterexample.
+//!
 //! # Quick start
 //!
 //! ```
@@ -36,12 +41,13 @@
 mod compile;
 mod elision;
 mod monotonicity;
+mod search;
 mod theorems;
 
 pub use compile::{check_compilation, compile_execution, CompilationResult};
 pub use elision::{abstract_family, check_lock_elision, elide, CrBody, ElisionResult, LOCK_VAR};
 pub use monotonicity::{
-    check_monotonicity, syntactic_monotonicity, syntactic_monotonicity_of, transaction_reductions,
-    MonotonicityResult, SyntacticMonotonicity,
+    check_monotonicity, syntactic_monotonicity, syntactic_monotonicity_of,
+    transaction_reduction_edits, transaction_reductions, MonotonicityResult, SyntacticMonotonicity,
 };
 pub use theorems::{check_theorem_7_2, check_theorem_7_3, TheoremResult};

@@ -1,15 +1,14 @@
 //! Monotonicity of transaction introduction, enlargement and coalescing
 //! (§8.1 and the first block of Table 2).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use tm_exec::ir::{txn_polarity, Polarity};
-use tm_exec::{ExecView, Execution};
+use tm_exec::ir::{txn_polarity, Delta, Polarity, RelBase};
+use tm_exec::Execution;
 use tm_models::{MemoryModel, Target};
-use tm_relation::per_classes;
-use tm_synth::{enumerate_exact, SynthConfig};
+use tm_synth::{apply_weakening_edits, probe_edit_script, SynthConfig, WeakeningEdit};
+
+use crate::search::{delta_checker, Search};
 
 /// The outcome of a bounded monotonicity check.
 #[derive(Clone, Debug)]
@@ -18,16 +17,18 @@ pub struct MonotonicityResult {
     pub model: String,
     /// The event-count bound reached.
     pub max_events: usize,
-    /// Number of (weaker, stronger) transaction pairs examined.
+    /// Number of (weaker, stronger) transaction pairs examined. The search
+    /// stops at the first counterexample, so when one exists this counts
+    /// the pairs examined up to the stop.
     pub pairs_checked: usize,
     /// A counterexample, if one exists within the bound: the first execution
     /// has *fewer* transaction edges and is inconsistent, the second has
     /// *more* and is consistent — so introducing/enlarging/coalescing the
     /// transaction resurrected a forbidden behaviour.
     ///
-    /// The search runs on the parallel enumerator, so when counterexamples
-    /// exist *which* one is reported (and the exact `pairs_checked` at the
-    /// moment of the find) can vary between runs; whether one exists cannot.
+    /// Whether one exists is deterministic. *Which* one is reported (and
+    /// `pairs_checked` with it) depends on the enumeration order and the
+    /// number of enumeration workers.
     pub counterexample: Option<(Execution, Execution)>,
     /// Wall-clock time spent.
     pub elapsed: Duration,
@@ -109,109 +110,110 @@ pub fn syntactic_monotonicity_of(
     }
 }
 
-/// Ways of *reducing* the transactions of an execution: the inverses of
-/// introducing a transaction, enlarging one, and coalescing two.
+/// Ways of *reducing* the transactions of an execution, as reversible edit
+/// scripts against it: the inverses of introducing a transaction (drop a
+/// whole class), enlarging one (drop its first or its last event) and
+/// coalescing two (split a class at each internal program-order boundary).
 ///
-/// Monotonicity states that going the other way (from the returned execution
-/// back to `exec`) can never turn an inconsistent execution consistent.
-pub fn transaction_reductions(exec: &Execution) -> Vec<Execution> {
-    let mut out = Vec::new();
-    let classes = exec.txn_classes();
-    for class in &classes {
-        // Inverse of *introducing*: drop the whole transaction.
-        let mut dropped = exec.clone();
-        for &a in class {
-            for b in 0..exec.len() {
-                dropped.stxn.remove(a, b);
-                dropped.stxn.remove(b, a);
-                dropped.stxnat.remove(a, b);
-                dropped.stxnat.remove(b, a);
-            }
-        }
-        out.push(dropped);
-
-        // Inverse of *enlarging*: drop the first or last event of the class.
-        if class.len() >= 2 {
-            let mut sorted = class.clone();
-            sorted.sort_by_key(|&e| exec.po.predecessors(e).count());
-            for &end in [sorted[0], *sorted.last().expect("non-empty class")].iter() {
-                let mut shrunk = exec.clone();
-                for b in 0..exec.len() {
-                    shrunk.stxn.remove(end, b);
-                    shrunk.stxn.remove(b, end);
-                    shrunk.stxnat.remove(end, b);
-                    shrunk.stxnat.remove(b, end);
+/// Every script removes `stxn`/`stxnat` pairs only, so the reduced
+/// execution stays well-formed. Apply one with
+/// [`tm_synth::apply_weakening_edits`], or probe it from a checker's live
+/// state with [`tm_synth::probe_edit_script`].
+pub fn transaction_reduction_edits(exec: &Execution) -> Vec<Vec<WeakeningEdit>> {
+    // The script removing every transaction pair `cut` selects.
+    let unlink = |cut: &dyn Fn(usize, usize) -> bool| {
+        let mut edits = Vec::new();
+        for (rel, base) in [(&exec.stxn, RelBase::Stxn), (&exec.stxnat, RelBase::Stxnat)] {
+            for (a, b) in rel.iter() {
+                if cut(a, b) {
+                    edits.push(WeakeningEdit::RemovePair(base, a, b));
                 }
-                out.push(shrunk);
             }
         }
-
+        edits
+    };
+    let mut out = Vec::new();
+    for mut class in exec.txn_classes() {
+        // Inverse of *introducing*: drop the whole transaction (its pairs
+        // never leave the class).
+        out.push(unlink(&|a, _| class.contains(&a)));
+        if class.len() < 2 {
+            continue;
+        }
+        class.sort_by_key(|&e| exec.po.predecessors(e).count());
+        // Inverse of *enlarging*: drop the first or last event of the class.
+        for end in [class[0], class[class.len() - 1]] {
+            out.push(unlink(&|a, b| a == end || b == end));
+        }
         // Inverse of *coalescing*: split the class in two at each internal
         // program-order boundary.
-        if class.len() >= 2 {
-            let mut sorted = class.clone();
-            sorted.sort_by_key(|&e| exec.po.predecessors(e).count());
-            for cut in 1..sorted.len() {
-                let (left, right) = sorted.split_at(cut);
-                let mut split = exec.clone();
-                for &a in left {
-                    for &b in right {
-                        split.stxn.remove(a, b);
-                        split.stxn.remove(b, a);
-                        split.stxnat.remove(a, b);
-                        split.stxnat.remove(b, a);
-                    }
-                }
-                out.push(split);
-            }
+        for cut in 1..class.len() {
+            let left = &class[..cut];
+            out.push(unlink(&|a, b| left.contains(&a) != left.contains(&b)));
         }
     }
     out
 }
 
+/// The executions [`transaction_reduction_edits`] describes, materialised.
+///
+/// Monotonicity states that going the other way (from a returned execution
+/// back to `exec`) can never turn an inconsistent execution consistent.
+pub fn transaction_reductions(exec: &Execution) -> Vec<Execution> {
+    transaction_reduction_edits(exec)
+        .iter()
+        .map(|edits| reduce(exec, edits))
+        .collect()
+}
+
+fn reduce(exec: &Execution, edits: &[WeakeningEdit]) -> Execution {
+    let mut reduced = exec.clone();
+    apply_weakening_edits(&mut reduced, edits, &mut Delta::new());
+    reduced
+}
+
 /// Checks monotonicity of `model` for every execution with up to
 /// `max_events` events under `config`: no transaction reduction of a
 /// consistent execution may be inconsistent.
+///
+/// Each worker drives one [`DeltaChecker`](tm_models::DeltaChecker) for
+/// `model` along the delta-threading enumeration, and probes every
+/// reduction of a consistent candidate under a checker savepoint, on one
+/// reusable probe buffer.
 pub fn check_monotonicity(
     model: &dyn MemoryModel,
     config: &SynthConfig,
     max_events: usize,
 ) -> MonotonicityResult {
     let start = Instant::now();
-    let pairs_checked = AtomicUsize::new(0);
-    let found = AtomicBool::new(false);
-    let counterexample: Mutex<Option<(Execution, Execution)>> = Mutex::new(None);
-
-    for n in 2..=max_events {
-        if found.load(Ordering::Relaxed) {
-            break;
-        }
-        enumerate_exact(config, n, |exec| {
-            if found.load(Ordering::Relaxed) || per_classes(&exec.stxn).is_empty() {
+    let search = Search::new();
+    search.run(config, max_events, || {
+        let search = &search;
+        let mut checker = delta_checker(model);
+        let mut probe = Execution::with_events(Vec::new());
+        move |exec: &Execution, delta: &Delta| {
+            checker.advance(exec, delta);
+            if search.stopped() || exec.stxn.is_empty() || !checker.is_consistent(exec) {
                 return;
             }
-            if !model.is_consistent_view(&ExecView::new(exec)) {
-                return;
-            }
-            for reduced in transaction_reductions(exec) {
-                pairs_checked.fetch_add(1, Ordering::Relaxed);
-                if !model.is_consistent_view(&ExecView::new(&reduced)) {
-                    found.store(true, Ordering::Relaxed);
-                    counterexample
-                        .lock()
-                        .unwrap()
-                        .get_or_insert_with(|| (reduced.clone(), exec.clone()));
+            probe.clone_from(exec);
+            for edits in transaction_reduction_edits(exec) {
+                search.count();
+                // Reductions stay well-formed, so every one is admitted.
+                let consistent = probe_edit_script(checker.as_mut(), &mut probe, &edits, |_| true);
+                if consistent == Some(false) {
+                    search.report((reduce(exec, &edits), exec.clone()));
                     return;
                 }
             }
-        });
-    }
-
+        }
+    });
+    let (pairs_checked, counterexample) = search.finish();
     MonotonicityResult {
         model: model.name().to_string(),
         max_events,
-        pairs_checked: pairs_checked.into_inner(),
-        counterexample: counterexample.into_inner().unwrap(),
+        pairs_checked,
+        counterexample,
         elapsed: start.elapsed(),
     }
 }
@@ -253,6 +255,41 @@ mod tests {
             assert!(model.is_consistent(stronger));
             assert_eq!(weaker.events, stronger.events);
             assert!(!weaker.rmw.is_empty(), "the counterexample involves an RMW");
+        }
+    }
+
+    /// A model with no incremental checker: the check falls back to a
+    /// from-scratch adapter.
+    struct ScratchOnly(Box<dyn MemoryModel>);
+
+    impl MemoryModel for ScratchOnly {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn axioms(&self) -> Vec<&str> {
+            self.0.axioms()
+        }
+
+        fn check_view(&self, view: &tm_exec::ExecView<'_>) -> tm_models::Verdict {
+            self.0.check_view(view)
+        }
+    }
+
+    #[test]
+    fn models_without_an_incremental_checker_get_the_same_verdicts() {
+        for (target, cfg, events) in [
+            (Target::X86Tm, SynthConfig::x86(3), 3),
+            (Target::PowerTm, SynthConfig::power(2), 2),
+        ] {
+            let scratch = ScratchOnly(target.model());
+            assert!(scratch.incremental_checker().is_none());
+            let slow = check_monotonicity(&scratch, &cfg, events);
+            let fast = check_monotonicity(target.model().as_ref(), &cfg, events);
+            assert_eq!(slow.holds(), fast.holds(), "{target}");
+            if fast.holds() {
+                assert_eq!(slow.pairs_checked, fast.pairs_checked, "{target}");
+            }
         }
     }
 

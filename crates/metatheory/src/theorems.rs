@@ -1,13 +1,14 @@
 //! Bounded mechanical checks of the paper's two hand-proved theorems about
 //! the C++ TM model (§7).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use tm_exec::ir::{Delta, DeltaMask};
 use tm_exec::{ExecView, Execution};
 use tm_models::{isolation, CppModel, MemoryModel, ScModel};
-use tm_synth::{enumerate_exact, SynthConfig};
+use tm_synth::SynthConfig;
+
+use crate::search::{delta_checker, Search};
 
 /// The outcome of a bounded theorem check.
 #[derive(Clone, Debug)]
@@ -16,11 +17,14 @@ pub struct TheoremResult {
     pub theorem: &'static str,
     /// The event-count bound reached.
     pub max_events: usize,
-    /// Number of executions that satisfied the theorem's hypotheses.
+    /// Number of executions that satisfied the theorem's hypotheses. The
+    /// search stops at the first counterexample, so when one exists this
+    /// counts the instances found up to the stop.
     pub instances: usize,
     /// A counterexample execution, if any hypothesis-satisfying execution
-    /// violated the conclusion. As with the other parallel searches, which
-    /// counterexample is reported is run-dependent; existence is not.
+    /// violated the conclusion. Whether one exists is deterministic;
+    /// *which* one is reported (and `instances` with it) depends on the
+    /// enumeration order and the number of enumeration workers.
     pub counterexample: Option<Execution>,
     /// Wall-clock time spent.
     pub elapsed: Duration,
@@ -40,95 +44,84 @@ impl TheoremResult {
 /// The check marks every transaction produced by the enumerator as atomic
 /// (`stxnat = stxn`), which is the worst case for the theorem.
 pub fn check_theorem_7_2(config: &SynthConfig, max_events: usize) -> TheoremResult {
-    let start = Instant::now();
-    let cpp = CppModel::tm();
-    let instances = AtomicUsize::new(0);
-    let found = AtomicBool::new(false);
-    let counterexample: Mutex<Option<Execution>> = Mutex::new(None);
-
-    for n in 2..=max_events {
-        if found.load(Ordering::Relaxed) {
-            break;
-        }
-        enumerate_exact(config, n, |exec| {
-            if found.load(Ordering::Relaxed) || exec.txn_classes().is_empty() {
-                return;
-            }
-            // Treat every transaction as atomic.
-            let mut exec = exec.clone();
-            exec.stxnat = exec.stxn.clone();
-            let view = ExecView::new(&exec);
-            if !cpp.atomic_txns_contain_no_atomics_view(&view) {
-                return;
-            }
-            if !cpp.is_consistent_view(&view) || cpp.is_racy_view(&view) {
-                return;
-            }
-            instances.fetch_add(1, Ordering::Relaxed);
-            if !isolation::strong_isolation_atomic_view(&view) {
-                found.store(true, Ordering::Relaxed);
-                drop(view);
-                counterexample.lock().unwrap().get_or_insert(exec);
-            }
-        });
-    }
-
-    TheoremResult {
-        theorem: "7.2",
+    check_theorem(
+        "7.2",
+        config,
         max_events,
-        instances: instances.into_inner(),
-        counterexample: counterexample.into_inner().unwrap(),
-        elapsed: start.elapsed(),
-    }
+        |view| !view.exec().stxn.is_empty(),
+        isolation::strong_isolation_atomic_view,
+    )
 }
 
 /// Theorem 7.3 (transactional SC-DRF): a C++-consistent execution with no
 /// relaxed transactions (`stxn = stxnat`), no non-SC atomics (`Ato = SC`)
 /// and no data races is consistent under TSC.
 pub fn check_theorem_7_3(config: &SynthConfig, max_events: usize) -> TheoremResult {
+    let tsc = ScModel::tsc();
+    check_theorem(
+        "7.3",
+        config,
+        max_events,
+        |view| *view.atomics() == *view.sc_events(),
+        |view| tsc.is_consistent_view(view),
+    )
+}
+
+/// Checks one theorem on every candidate with every transaction atomic:
+/// its hypotheses are `hypothesis`, no atomics inside atomic transactions,
+/// C++ TM consistency and race freedom; its conclusion is `conclusion`.
+///
+/// Each worker keeps a mirror of the enumerator's candidate whose `stxnat`
+/// follows `stxn`, and drives one C++ TM [`DeltaChecker`] along it: by the
+/// enumerator's delta, plus a coarse `stxnat` touch whenever that delta
+/// moves `stxn`.
+fn check_theorem(
+    theorem: &'static str,
+    config: &SynthConfig,
+    max_events: usize,
+    hypothesis: impl Fn(&ExecView<'_>) -> bool + Sync,
+    conclusion: impl Fn(&ExecView<'_>) -> bool + Sync,
+) -> TheoremResult {
     let start = Instant::now();
     let cpp = CppModel::tm();
-    let tsc = ScModel::tsc();
-    let instances = AtomicUsize::new(0);
-    let found = AtomicBool::new(false);
-    let counterexample: Mutex<Option<Execution>> = Mutex::new(None);
-
-    for n in 2..=max_events {
-        if found.load(Ordering::Relaxed) {
-            break;
+    let search = Search::new();
+    search.run(config, max_events, || {
+        let (search, cpp, hypothesis, conclusion) = (&search, &cpp, &hypothesis, &conclusion);
+        let mut checker = delta_checker(cpp);
+        let mut mirror = Execution::with_events(Vec::new());
+        move |exec: &Execution, delta: &Delta| {
+            mirror.clone_from(exec);
+            mirror.stxnat.clone_from(&mirror.stxn);
+            if delta.mask().intersects(DeltaMask::STXN) {
+                let mut delta = delta.clone();
+                delta.touch(DeltaMask::STXNAT);
+                checker.advance(&mirror, &delta);
+            } else {
+                checker.advance(&mirror, delta);
+            }
+            if search.stopped() {
+                return;
+            }
+            let view = ExecView::new(&mirror);
+            if !hypothesis(&view)
+                || !cpp.atomic_txns_contain_no_atomics_view(&view)
+                || !checker.is_consistent(&mirror)
+                || cpp.is_racy_view(&view)
+            {
+                return;
+            }
+            search.count();
+            if !conclusion(&view) {
+                search.report(mirror.clone());
+            }
         }
-        enumerate_exact(config, n, |exec| {
-            if found.load(Ordering::Relaxed) {
-                return;
-            }
-            // Hypotheses: every transaction atomic, atomics all SC, no
-            // atomics inside atomic transactions, race free, consistent.
-            let mut exec = exec.clone();
-            exec.stxnat = exec.stxn.clone();
-            let view = ExecView::new(&exec);
-            if *view.atomics() != *view.sc_events() {
-                return;
-            }
-            if !cpp.atomic_txns_contain_no_atomics_view(&view) {
-                return;
-            }
-            if !cpp.is_consistent_view(&view) || cpp.is_racy_view(&view) {
-                return;
-            }
-            instances.fetch_add(1, Ordering::Relaxed);
-            if !tsc.is_consistent_view(&view) {
-                found.store(true, Ordering::Relaxed);
-                drop(view);
-                counterexample.lock().unwrap().get_or_insert(exec);
-            }
-        });
-    }
-
+    });
+    let (instances, counterexample) = search.finish();
     TheoremResult {
-        theorem: "7.3",
+        theorem,
         max_events,
-        instances: instances.into_inner(),
-        counterexample: counterexample.into_inner().unwrap(),
+        instances,
+        counterexample,
         elapsed: start.elapsed(),
     }
 }

@@ -17,8 +17,12 @@ use crate::{MemoryModel, Verdict};
 /// * `RMWIsol` — `empty(rmw ∩ (fre ; coe))`;
 /// * `StrongIsol`, `TxnOrder` (over `ob`) and `TxnCancelsRMW` (TM only).
 ///
-/// The `dob`/`aob`/`bob` definitions are restricted to the instruction forms
-/// our litmus AST can produce (see DESIGN.md).
+/// The `dob`/`aob`/`bob` definitions cover what the ARMv8 enumeration
+/// produces (address, data and control dependencies, RMW pairs, `DMB`
+/// variants, `LDAR`/`STLR`). They leave out aarch64.cat's clauses for
+/// `ISB`, which the enumeration never emits, and for dependencies into
+/// later coherence or program order (`(ctrl | data) ; coi`,
+/// `addr ; po ; [W]`).
 ///
 /// # Examples
 ///

@@ -35,11 +35,34 @@ const BITS: usize = 64;
 /// // rf ; po relates the write 0 to the event 1 after the read 3.
 /// assert!(rf.compose(&po).contains(0, 1));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct Relation {
     universe: usize,
     words_per_row: usize,
     rows: Vec<u64>,
+}
+
+impl Clone for Relation {
+    fn clone(&self) -> Relation {
+        Relation {
+            universe: self.universe,
+            words_per_row: self.words_per_row,
+            rows: self.rows.clone(),
+        }
+    }
+
+    /// Reuses `self`'s row storage: no allocation when it is large enough.
+    fn clone_from(&mut self, source: &Relation) {
+        // Destructured so that a new field cannot be left out here.
+        let Relation {
+            universe,
+            words_per_row,
+            rows,
+        } = self;
+        *universe = source.universe;
+        *words_per_row = source.words_per_row;
+        rows.clone_from(&source.rows);
+    }
 }
 
 impl Relation {

@@ -2,7 +2,7 @@
 //!
 //! The paper validates its axiomatic models by running synthesised litmus
 //! tests on real TSX and POWER8 hardware. This crate is the substitute for
-//! that silicon (see DESIGN.md): operational machines for x86 (TSO store
+//! that silicon: operational machines for x86 (TSO store
 //! buffers), ARMv8 (out-of-order, multicopy-atomic) and Power (out-of-order,
 //! non-multicopy-atomic write propagation), each with a best-effort hardware
 //! transactional memory, plus a runner that executes a litmus test under many

@@ -2,8 +2,8 @@
 //! transactional memory.
 //!
 //! This is the substitute for the silicon the paper runs its conformance
-//! suites on (see DESIGN.md). One machine configuration models each
-//! architecture:
+//! suites on (the crate docs of `tm_sim` give the argument). One machine
+//! configuration models each architecture:
 //!
 //! * **x86** — in-order execution with per-thread FIFO store buffers and
 //!   store→load forwarding (TSO); `MFENCE` and `LOCK`'d RMWs drain the
@@ -16,9 +16,11 @@
 //!   in coherence order, under scheduler control.
 //!
 //! The HTM layer buffers transactional writes, tracks read/write sets,
-//! aborts on conflict with any access that becomes visible to the thread
-//! (strong isolation), publishes the write set atomically to every thread
-//! at commit (multicopy-atomic commit), and acts as a full barrier at both
+//! aborts on conflict with any write to a location it holds — once the
+//! write enters the coherence order, visible to the thread or not — and
+//! on a write to a location it read a coherence-stale value of (strong
+//! isolation), publishes the write set atomically to every thread at
+//! commit (multicopy-atomic commit), and acts as a full barrier at both
 //! boundaries.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -80,6 +82,10 @@ struct TxnState {
     committed: bool,
     had_txn: bool,
     read_set: HashSet<String>,
+    /// Locations the transaction read from a write that was already
+    /// coherence-before another one (possible on the non-multicopy-atomic
+    /// machine, where a newer write may not have reached this thread yet).
+    stale_reads: HashSet<String>,
     write_set: BTreeMap<String, u64>,
     saved_regs: HashMap<Reg, u64>,
 }
@@ -471,18 +477,22 @@ impl Machine {
     /// Appends a write to the coherence history. `global` publishes it to
     /// every thread immediately (x86 flush, ARMv8 store, transaction commit);
     /// otherwise it is visible to the writer only and must propagate.
+    ///
+    /// Every other thread's transaction that holds `loc` aborts, whether or
+    /// not the write is visible to that thread yet: once the write is in
+    /// the coherence order, such a transaction could only commit by
+    /// ordering itself on both sides of it.
     fn commit_write(&mut self, writer: usize, loc: &str, value: u64, global: bool) {
         let visible_to: HashSet<usize> = if global || !self.arch.non_mca() {
             (0..self.thread_count).collect()
         } else {
             [writer].into_iter().collect()
         };
-        let visible_now: Vec<usize> = visible_to.iter().copied().collect();
         self.history
             .entry(loc.to_string())
             .or_default()
             .push(WriteRecord { value, visible_to });
-        for t in visible_now {
+        for t in 0..self.thread_count {
             if t != writer {
                 self.notify_conflict(t, loc);
             }
@@ -530,6 +540,9 @@ impl Machine {
             Instr::Load { reg, loc, .. } => {
                 let value = self.load_value(t, &loc);
                 if self.threads[t].txn.active {
+                    if self.reads_stale(t, &loc) {
+                        self.threads[t].txn.stale_reads.insert(loc.clone());
+                    }
                     self.threads[t].txn.read_set.insert(loc);
                 }
                 self.threads[t].regs.insert(reg, value);
@@ -577,6 +590,7 @@ impl Machine {
                 txn.aborted = false;
                 txn.had_txn = true;
                 txn.read_set.clear();
+                txn.stale_reads.clear();
                 txn.write_set.clear();
                 txn.saved_regs = saved.into_iter().collect();
             }
@@ -589,6 +603,17 @@ impl Machine {
                     self.flush_one(t);
                 }
                 self.propagate_visible_writes(t);
+                // A transaction that read a coherence-stale value of a
+                // location it also writes cannot commit: its write would
+                // land after the newer write it missed, a StrongIsol cycle.
+                let txn = &mut self.threads[t].txn;
+                if txn
+                    .write_set
+                    .keys()
+                    .any(|loc| txn.stale_reads.contains(loc))
+                {
+                    txn.aborted = true;
+                }
                 let aborted = self.threads[t].txn.aborted;
                 if aborted {
                     // Roll back registers; the fail handler zeroes ok.
@@ -611,6 +636,7 @@ impl Machine {
                 let txn = &mut self.threads[t].txn;
                 txn.active = false;
                 txn.read_set.clear();
+                txn.stale_reads.clear();
                 txn.write_set.clear();
             }
             Instr::TxAbort => {
@@ -693,6 +719,17 @@ impl Machine {
                 }
             }
         }
+    }
+
+    /// True if a load of `loc` by thread `t` now reads a write that is not
+    /// the last in `loc`'s coherence order (only on the non-multicopy-atomic
+    /// machine, and never when the transaction's own write is forwarded).
+    fn reads_stale(&self, t: usize, loc: &str) -> bool {
+        if !self.arch.non_mca() || self.threads[t].txn.write_set.contains_key(loc) {
+            return false;
+        }
+        let hist = &self.history[loc];
+        hist.last().is_some_and(|w| !w.visible_to.contains(&t))
     }
 
     fn load_value(&self, t: usize, loc: &str) -> u64 {
@@ -835,6 +872,27 @@ mod tests {
         let a = explore(SimArch::Armv8, &test, 50, 7);
         let b = explore(SimArch::Armv8, &test, 50, 7);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn power_transactions_never_straddle_a_newer_write() {
+        // txbegin; r0=x; x=2; txend ∥ x=1 with r0=0 ∧ x=2 ∧ ok0=1: the
+        // transaction reads x before x=1 in coherence, yet its own write
+        // lands after x=1. StrongIsol forbids it; the Power machine must
+        // never show it, whether x=1 enters coherence during the
+        // transaction or before it without having reached its thread.
+        let mut b = tm_exec::ExecutionBuilder::new();
+        let read = b.push(tm_exec::Event::read(0, 0));
+        let write = b.push(tm_exec::Event::write(0, 0));
+        let other = b.push(tm_exec::Event::write(1, 0));
+        b.co(other, write);
+        b.txn(&[read, write]);
+        let test = from_execution(&b.build().unwrap(), "txn-straddles-co");
+        assert_eq!(test.post.to_string(), "0:r0 = 0 /\\ x = 2 /\\ ok0 = 1");
+        for seed in 1..=5 {
+            let report = crate::runner::run_test(SimArch::Power, &test, 1000, seed);
+            assert!(!report.observed, "observed with seed {seed}");
+        }
     }
 
     #[test]

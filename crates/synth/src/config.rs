@@ -7,8 +7,9 @@ use crate::hash::Fnv1a;
 /// Bounds and feature switches for candidate-execution enumeration.
 ///
 /// The enumerator is the explicit-search replacement for the paper's
-/// SAT-based Memalloy backend (see DESIGN.md): it produces every well-formed
-/// candidate execution within the bounds, up to thread/location symmetry.
+/// SAT-based Memalloy backend (see the crate docs): it produces every
+/// well-formed candidate execution within the bounds, up to thread/location
+/// symmetry.
 ///
 /// Keep `max_events` small (≤ 5): the space grows super-exponentially, which
 /// is also why the paper reports synthesis times in hours for 6–7 events.

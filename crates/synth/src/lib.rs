@@ -2,8 +2,10 @@
 //! weak-memory models.
 //!
 //! This crate replaces the paper's SAT-based Memalloy backend with an
-//! explicit bounded search (see DESIGN.md for the substitution argument).
-//! It provides:
+//! explicit bounded search. Within a bound both visit every well-formed
+//! candidate execution (up to symmetry), so they synthesise the same
+//! suites; the explicit search pays in time instead, which is why it runs
+//! at smaller bounds than the paper's 6–7 events. It provides:
 //!
 //! * [`enumerate_exact`] / [`enumerate_all`] — enumeration of every
 //!   well-formed candidate execution within a [`SynthConfig`] bound;
@@ -59,6 +61,6 @@ pub use suite::{
 };
 pub use symmetry::{labelled_orbit, ReducedCount, Symmetry};
 pub use weaken::{
-    apply_weakening_edits, undo_weakening_edits, weakening_edits, weakenings,
+    apply_weakening_edits, probe_edit_script, undo_weakening_edits, weakening_edits, weakenings,
     weakenings_with_signatures, Weakening, WeakeningEdit,
 };

@@ -31,7 +31,7 @@ use tm_litmus::{from_execution, Expectation, LitmusTest};
 use tm_models::ir::IncrementalChecker;
 use tm_models::{DeltaChecker, MemoryModel, Target};
 
-use crate::weaken::{apply_weakening_edits, undo_weakening_edits, weakening_edits, Weakening};
+use crate::weaken::{probe_edit_script, weakening_edits, Weakening};
 use crate::{
     canonical_signature, enumerate_exact, enumerate_exact_incremental,
     enumerate_exact_incremental_until, enumerate_exact_until, enumerate_reduced_incremental,
@@ -185,22 +185,12 @@ pub fn minimal_under_weakenings(
                 checker.rollback();
                 ok
             }
+            // Ill-formed results are not candidate executions and do not
+            // bear on minimality.
             Weakening::Edits(edits) => {
-                let mut delta = Delta::new();
-                apply_weakening_edits(probe, &edits, &mut delta);
-                let ok = if check_well_formed(probe).is_ok() {
-                    checker.savepoint();
-                    checker.advance(probe, &delta);
-                    let ok = checker.is_consistent(probe);
-                    checker.rollback();
-                    ok
-                } else {
-                    // Ill-formed results are not candidate executions and
-                    // do not bear on minimality.
-                    true
-                };
-                undo_weakening_edits(probe, &edits);
-                ok
+                probe_edit_script(checker, probe, &edits, |weaker| {
+                    check_well_formed(weaker).is_ok()
+                }) != Some(false)
             }
         };
         if !consistent {

@@ -4,6 +4,7 @@ use std::collections::HashSet;
 
 use tm_exec::ir::{Delta, RelBase};
 use tm_exec::{check_well_formed, Annot, Execution};
+use tm_models::DeltaChecker;
 
 use crate::{canonical_signature, CanonSig};
 
@@ -56,9 +57,7 @@ fn primitive_mut(exec: &mut Execution, base: RelBase) -> &mut tm_relation::Relat
 }
 
 /// Applies an edit script in place, recording the edits in `delta` so a
-/// stateful checker ([`tm_models::DeltaChecker`]-shaped) can absorb them.
-///
-/// [`tm_models::DeltaChecker`]: https://docs.rs/tm-models
+/// stateful [`DeltaChecker`] can absorb them.
 pub fn apply_weakening_edits(exec: &mut Execution, edits: &[WeakeningEdit], delta: &mut Delta) {
     for &edit in edits {
         match edit {
@@ -87,6 +86,38 @@ pub fn undo_weakening_edits(exec: &mut Execution, edits: &[WeakeningEdit]) {
             }
         }
     }
+}
+
+/// The probe bracket: asks `checker` about `probe` edited by `edits`, and
+/// leaves both exactly as they were.
+///
+/// `probe` must equal the candidate the checker last advanced to. The
+/// script is applied in place; if `admit` accepts the edited execution,
+/// the checker answers under a savepoint (savepoint → advance by the
+/// recorded delta → query → rollback). The edits are then undone. Returns
+/// `None` when `admit` refused the edited execution, which was then never
+/// shown to the checker.
+///
+/// The ⊏-minimality walk ([`crate::minimal_under_weakenings`]) admits only
+/// well-formed weakenings; callers whose edits always keep an execution
+/// well-formed admit everything.
+pub fn probe_edit_script(
+    checker: &mut dyn DeltaChecker,
+    probe: &mut Execution,
+    edits: &[WeakeningEdit],
+    admit: impl FnOnce(&Execution) -> bool,
+) -> Option<bool> {
+    let mut delta = Delta::new();
+    apply_weakening_edits(probe, edits, &mut delta);
+    let consistent = admit(probe).then(|| {
+        checker.savepoint();
+        checker.advance(probe, &delta);
+        let ok = checker.is_consistent(probe);
+        checker.rollback();
+        ok
+    });
+    undo_weakening_edits(probe, edits);
+    consistent
 }
 
 /// Every one-step ⊏-weakening of `exec` as a [`Weakening`] — the
