@@ -18,7 +18,7 @@
 //!   --program       also print each execution's litmus program (§2.2)
 //!
 //! `sweep` options:
-//!   --events N      event bound (default 4)
+//!   --events N      event bound (default 4, at most 16)
 //!   --config C      enumeration preset: x86 | x86-trimmed | x86-trimmed-3t |
 //!                   power | armv8 | cpp
 //!   --expect TARGET compare per-execution consistency against a built-in
@@ -94,6 +94,7 @@ use tm_litmus::from_execution;
 use tm_models::ir::IrModel;
 use tm_models::{MemoryModel, Target};
 use tm_obs::{Obs, SinkKind};
+use tm_relation::MAX_UNIVERSE;
 use tm_sweep::{
     merge_sharded, run_sweep, supervise_with, write_report, FailPlan, Heartbeat, SupervisorOptions,
     SweepJob, SweepMode, SweepOptions, SweepOutcome, SweepStatus,
@@ -492,9 +493,15 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ExitCode> {
                 match flag {
                     "--baseline" => parsed.baseline_path = Some(value.clone()),
                     "--events" => {
-                        parsed.events = value
+                        let n: usize = value
                             .parse()
-                            .map_err(|_| fail("--events expects a number".into()))?
+                            .map_err(|_| fail("--events expects a number".into()))?;
+                        if n > MAX_UNIVERSE {
+                            return Err(fail(format!(
+                                "--events {n} exceeds the limit of {MAX_UNIVERSE} events"
+                            )));
+                        }
+                        parsed.events = n;
                     }
                     "--config" => parsed.config_name = value.clone(),
                     "--expect" => parsed.expect = Some(parse_target(value).map_err(fail)?),

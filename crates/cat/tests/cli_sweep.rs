@@ -188,6 +188,15 @@ fn usage_and_io_errors_exit_two() {
     let out = sweep(&["--checkpoint", ckpt, "--shard", "2/2"]);
     assert_eq!(out.status.code(), Some(2));
 
+    // An event bound past the relation width is refused up front.
+    let out = sweep(&["--events", "17"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("exceeds the limit of 16"),
+        "stderr:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
     // Unreadable model file is an IO error, not a verdict.
     let out = Command::new(BIN)
         .args(["sweep", "/nonexistent/model.cat", "--events", "2"])

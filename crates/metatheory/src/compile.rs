@@ -7,6 +7,7 @@ use tm_exec::ir::Delta;
 use tm_exec::{Annot, Event, Execution, ExecutionBuilder, Fence};
 use tm_litmus::Arch;
 use tm_models::{Armv8Model, CppModel, MemoryModel, PowerModel, X86Model};
+use tm_relation::MAX_UNIVERSE;
 use tm_synth::SynthConfig;
 
 use crate::search::{delta_checker, Search};
@@ -150,17 +151,41 @@ pub fn compile_execution(source: &Execution, target: Arch) -> Execution {
         .expect("compiling a well-formed execution preserves well-formedness")
 }
 
+/// The most events [`compile_execution`] emits for one source event: Power
+/// brackets a seq_cst load as `sync; ld; lwsync`, x86 follows a seq_cst
+/// store with an `MFENCE`, and ARMv8 needs no fences.
+fn max_image_per_event(target: Arch) -> usize {
+    match target {
+        Arch::Power => 3,
+        Arch::X86 => 2,
+        Arch::Armv8 | Arch::Cpp => 1,
+    }
+}
+
 /// Checks soundness of compiling C++ transactions to `target` for every C++
 /// execution with up to `max_events` events under `config`.
 ///
 /// Each worker drives one C++ TM [`DeltaChecker`](tm_models::DeltaChecker)
 /// along the delta-threading enumeration; only the candidates it rejects
 /// are compiled and checked, from scratch, against the hardware model.
+///
+/// # Panics
+///
+/// Panics before the search starts if a compiled image could exceed
+/// [`MAX_UNIVERSE`] events. An `n`-event source compiles to at most `3n`
+/// events on Power, `2n` on x86 and `n` on ARMv8, so `max_events` may be
+/// at most 5, 8 and 16 respectively.
 pub fn check_compilation(
     target: Arch,
     config: &SynthConfig,
     max_events: usize,
 ) -> CompilationResult {
+    let worst = max_events.saturating_mul(max_image_per_event(target));
+    assert!(
+        worst <= MAX_UNIVERSE,
+        "compiling {max_events}-event executions to {target} can emit {worst} events, \
+         more than MAX_UNIVERSE ({MAX_UNIVERSE})"
+    );
     let start = Instant::now();
     let cpp = CppModel::tm();
     let hardware: Box<dyn MemoryModel> = match target {
@@ -273,6 +298,13 @@ mod tests {
             );
             assert!(result.checked > 0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "more than MAX_UNIVERSE")]
+    fn power_bound_six_could_overflow_the_universe() {
+        // 6 seq_cst loads would compile to 18 Power events.
+        check_compilation(Arch::Power, &SynthConfig::cpp(6), 6);
     }
 
     #[test]

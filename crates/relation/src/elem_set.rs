@@ -1,10 +1,12 @@
-//! Bit-packed sets of elements drawn from a dense universe `0..n`.
+//! Sets of elements drawn from a dense universe `0..n`, one bit per
+//! element in a `u16`.
 
 use std::fmt;
 
-const BITS: usize = 64;
+use crate::{check_universe, full_row, Bits};
 
-/// A set of elements drawn from the dense universe `0..n`.
+/// A set of elements drawn from the dense universe `0..n`, where `n` is at
+/// most [`MAX_UNIVERSE`](crate::MAX_UNIVERSE).
 ///
 /// All set operations require both operands to share the same universe size;
 /// mixing universes is a logic error and panics in debug builds.
@@ -21,26 +23,39 @@ const BITS: usize = 64;
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ElemSet {
-    universe: usize,
-    words: Vec<u64>,
+    universe: u8,
+    /// Bit `e` is set iff `e` is a member; bits at or past `universe` are 0.
+    row: u16,
 }
 
 impl ElemSet {
     /// Creates an empty set over the universe `0..universe`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `universe > MAX_UNIVERSE`.
     pub fn new(universe: usize) -> Self {
         ElemSet {
-            universe,
-            words: vec![0; universe.div_ceil(BITS)],
+            universe: check_universe(universe),
+            row: 0,
         }
     }
 
     /// Creates a set containing every element of the universe.
     pub fn full(universe: usize) -> Self {
+        ElemSet::from_row(universe, full_row(universe))
+    }
+
+    /// The set over `0..universe` whose members are the set bits of `row`.
+    pub(crate) fn from_row(universe: usize, row: u16) -> Self {
         let mut s = Self::new(universe);
-        for e in 0..universe {
-            s.insert(e);
-        }
+        s.row = row & full_row(universe);
         s
+    }
+
+    /// The members as a bit row.
+    pub(crate) fn row(&self) -> u16 {
+        self.row
     }
 
     /// Creates a set over `0..universe` from an iterator of members.
@@ -58,7 +73,7 @@ impl ElemSet {
 
     /// Size of the universe this set ranges over.
     pub fn universe(&self) -> usize {
-        self.universe
+        usize::from(self.universe)
     }
 
     /// Inserts an element. Returns `true` if it was newly inserted.
@@ -68,43 +83,37 @@ impl ElemSet {
     /// Panics if `elem >= universe`.
     pub fn insert(&mut self, elem: usize) -> bool {
         assert!(
-            elem < self.universe,
+            elem < self.universe(),
             "element {elem} outside universe {}",
             self.universe
         );
-        let (w, b) = (elem / BITS, elem % BITS);
-        let newly = self.words[w] & (1 << b) == 0;
-        self.words[w] |= 1 << b;
+        let newly = !self.contains(elem);
+        self.row |= 1 << elem;
         newly
     }
 
     /// Removes an element. Returns `true` if it was present.
     pub fn remove(&mut self, elem: usize) -> bool {
-        if elem >= self.universe {
-            return false;
+        let present = self.contains(elem);
+        if present {
+            self.row &= !(1 << elem);
         }
-        let (w, b) = (elem / BITS, elem % BITS);
-        let present = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
         present
     }
 
     /// Returns `true` if `elem` is a member.
     pub fn contains(&self, elem: usize) -> bool {
-        if elem >= self.universe {
-            return false;
-        }
-        self.words[elem / BITS] & (1 << (elem % BITS)) != 0
+        elem < self.universe() && self.row & (1 << elem) != 0
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.row.count_ones() as usize
     }
 
     /// Returns `true` if the set has no members.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.row == 0
     }
 
     /// Set union.
@@ -124,47 +133,34 @@ impl ElemSet {
 
     /// Complement with respect to the universe.
     pub fn complement(&self) -> ElemSet {
-        let mut out = ElemSet::new(self.universe);
-        for e in 0..self.universe {
-            if !self.contains(e) {
-                out.insert(e);
-            }
-        }
-        out
+        ElemSet::from_row(self.universe(), !self.row)
     }
 
     /// Returns `true` if every member of `self` is a member of `other`.
     pub fn is_subset_of(&self, other: &ElemSet) -> bool {
         debug_assert_eq!(self.universe, other.universe);
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
+        self.row & !other.row == 0
     }
 
     /// Returns `true` if the two sets share no member.
     pub fn is_disjoint_from(&self, other: &ElemSet) -> bool {
-        self.intersection(other).is_empty()
+        debug_assert_eq!(self.universe, other.universe);
+        self.row & other.row == 0
     }
 
     /// Iterates over members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.universe).filter(move |&e| self.contains(e))
+        Bits(self.row)
     }
 
-    fn zip_with(&self, other: &ElemSet, f: impl Fn(u64, u64) -> u64) -> ElemSet {
+    fn zip_with(&self, other: &ElemSet, f: impl Fn(u16, u16) -> u16) -> ElemSet {
         debug_assert_eq!(
             self.universe, other.universe,
             "set operation across different universes"
         );
         ElemSet {
             universe: self.universe,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+            row: f(self.row, other.row),
         }
     }
 }
@@ -189,6 +185,7 @@ impl FromIterator<usize> for ElemSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_UNIVERSE;
 
     #[test]
     fn insert_remove_contains() {
@@ -242,9 +239,10 @@ mod tests {
 
     #[test]
     fn full_and_complement_are_inverses() {
-        let full = ElemSet::full(70);
-        assert_eq!(full.len(), 70);
+        let full = ElemSet::full(MAX_UNIVERSE);
+        assert_eq!(full.len(), MAX_UNIVERSE);
         assert!(full.complement().is_empty());
+        assert_eq!(full.complement().complement(), full);
     }
 
     #[test]
@@ -256,11 +254,23 @@ mod tests {
 
     #[test]
     fn works_across_word_boundary() {
-        let mut s = ElemSet::new(130);
-        s.insert(63);
-        s.insert(64);
-        s.insert(129);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![63, 64, 129]);
+        // Element 15 is the top bit of the row.
+        let mut s = ElemSet::new(MAX_UNIVERSE);
+        s.insert(0);
+        s.insert(14);
+        s.insert(15);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 14, 15]);
         assert_eq!(s.len(), 3);
+        assert_eq!(s.complement().len(), MAX_UNIVERSE - 3);
+        assert!(!s.contains(MAX_UNIVERSE));
+        assert!(!s.remove(MAX_UNIVERSE));
+        assert!(s.remove(15));
+        assert_eq!(s.iter().last(), Some(14));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_UNIVERSE")]
+    fn universe_above_max_panics() {
+        ElemSet::new(MAX_UNIVERSE + 1);
     }
 }

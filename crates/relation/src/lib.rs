@@ -8,10 +8,15 @@
 //! inverse, reflexive/transitive closures, set lifting `[S]`, and the
 //! `acyclic` / `irreflexive` / `empty` predicates.
 //!
-//! Elements of the universe are dense indices `0..n`; both [`ElemSet`] and
-//! [`Relation`] are bit-packed so that the closure and cycle-detection
-//! operations used inside consistency checks stay cheap for litmus-sized
-//! graphs (tens of events).
+//! Elements of the universe are dense indices `0..n`, with `n` at most
+//! [`MAX_UNIVERSE`] (16). Both types are stored inline, with no heap: an
+//! [`ElemSet`] is one `u16` of members and a [`Relation`] is sixteen `u16`
+//! rows of successors, so cloning is a 34-byte copy and composition,
+//! closure and acyclicity are loops over at most sixteen rows. Sixteen
+//! covers every execution the repository builds: the benchmark sweeps
+//! reach 8 events, the Table 2 checks 9 at bound 3 and 11 at bound 4
+//! (lock-elision and compiled images), and the test suite 10. A universe
+//! above sixteen panics at construction.
 //!
 //! # Examples
 //!
@@ -36,6 +41,43 @@ mod relation;
 
 pub use elem_set::ElemSet;
 pub use relation::{Pairs, Relation};
+
+/// The largest universe an [`ElemSet`] or [`Relation`] can range over.
+///
+/// Callers that take an event count from outside the program check it
+/// against this bound before building anything.
+pub const MAX_UNIVERSE: usize = 16;
+
+/// Asserts that `universe` fits in a `u16` row. A shift by 16 or more
+/// would wrap silently in release builds, so this is an `assert!`.
+fn check_universe(universe: usize) -> u8 {
+    assert!(
+        universe <= MAX_UNIVERSE,
+        "universe of {universe} elements exceeds MAX_UNIVERSE ({MAX_UNIVERSE})"
+    );
+    universe as u8
+}
+
+/// The row with bits `0..universe` set.
+fn full_row(universe: usize) -> u16 {
+    ((1u32 << universe) - 1) as u16
+}
+
+/// The indices of the set bits of a row, in ascending order.
+struct Bits(u16);
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(bit)
+    }
+}
 
 /// Computes the equivalence classes of a symmetric + transitive relation
 /// (a *partial* equivalence relation: reflexivity is not required, so

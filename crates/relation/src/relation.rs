@@ -2,12 +2,11 @@
 
 use std::fmt;
 
-use crate::ElemSet;
+use crate::{check_universe, full_row, Bits, ElemSet, MAX_UNIVERSE};
 
-const BITS: usize = 64;
-
-/// A binary relation over the dense universe `0..n`, stored as an `n × n`
-/// bit matrix (one bit-packed row of successors per element).
+/// A binary relation over the dense universe `0..n`, stored inline as an
+/// `n × n` bit matrix: one `u16` row of successors per element, `n` at most
+/// [`MAX_UNIVERSE`].
 ///
 /// The API mirrors the notation of the paper (§2.1): `;` is [`compose`],
 /// `r⁻¹` is [`inverse`], `r?` is [`reflexive_closure`], `r⁺` is
@@ -35,44 +34,25 @@ const BITS: usize = 64;
 /// // rf ; po relates the write 0 to the event 1 after the read 3.
 /// assert!(rf.compose(&po).contains(0, 1));
 /// ```
-#[derive(PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Relation {
-    universe: usize,
-    words_per_row: usize,
-    rows: Vec<u64>,
-}
-
-impl Clone for Relation {
-    fn clone(&self) -> Relation {
-        Relation {
-            universe: self.universe,
-            words_per_row: self.words_per_row,
-            rows: self.rows.clone(),
-        }
-    }
-
-    /// Reuses `self`'s row storage: no allocation when it is large enough.
-    fn clone_from(&mut self, source: &Relation) {
-        // Destructured so that a new field cannot be left out here.
-        let Relation {
-            universe,
-            words_per_row,
-            rows,
-        } = self;
-        *universe = source.universe;
-        *words_per_row = source.words_per_row;
-        rows.clone_from(&source.rows);
-    }
+    universe: u8,
+    /// Bit `b` of row `a` is set iff `(a, b)` is in the relation. Rows and
+    /// bits at or past `universe` are 0, so the derived `Eq` and `Hash` see
+    /// only the pairs.
+    rows: [u16; MAX_UNIVERSE],
 }
 
 impl Relation {
     /// Creates the empty relation over the universe `0..universe`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `universe > MAX_UNIVERSE`.
     pub fn new(universe: usize) -> Self {
-        let words_per_row = universe.div_ceil(BITS).max(1);
         Relation {
-            universe,
-            words_per_row,
-            rows: vec![0; words_per_row * universe],
+            universe: check_universe(universe),
+            rows: [0; MAX_UNIVERSE],
         }
     }
 
@@ -93,7 +73,7 @@ impl Relation {
     pub fn identity_on(set: &ElemSet) -> Self {
         let mut r = Self::new(set.universe());
         for e in set.iter() {
-            r.insert(e, e);
+            r.rows[e] = 1 << e;
         }
         r
     }
@@ -108,16 +88,19 @@ impl Relation {
         debug_assert_eq!(a.universe(), b.universe());
         let mut r = Self::new(a.universe());
         for x in a.iter() {
-            for y in b.iter() {
-                r.insert(x, y);
-            }
+            r.rows[x] = b.row();
         }
         r
     }
 
     /// Size of the universe this relation ranges over.
     pub fn universe(&self) -> usize {
-        self.universe
+        usize::from(self.universe)
+    }
+
+    /// The rows `0..universe`.
+    fn live_rows(&self) -> &[u16] {
+        &self.rows[..self.universe()]
     }
 
     /// Adds the pair `(a, b)`. Returns `true` if it was newly added.
@@ -127,46 +110,38 @@ impl Relation {
     /// Panics if `a` or `b` is `>= universe`.
     pub fn insert(&mut self, a: usize, b: usize) -> bool {
         assert!(
-            a < self.universe && b < self.universe,
+            a < self.universe() && b < self.universe(),
             "pair ({a}, {b}) outside universe {}",
             self.universe
         );
-        let idx = a * self.words_per_row + b / BITS;
-        let mask = 1u64 << (b % BITS);
-        let newly = self.rows[idx] & mask == 0;
-        self.rows[idx] |= mask;
+        let newly = !self.contains(a, b);
+        self.rows[a] |= 1 << b;
         newly
     }
 
     /// Removes the pair `(a, b)`. Returns `true` if it was present.
     pub fn remove(&mut self, a: usize, b: usize) -> bool {
-        if a >= self.universe || b >= self.universe {
-            return false;
+        let present = self.contains(a, b);
+        if present {
+            self.rows[a] &= !(1 << b);
         }
-        let idx = a * self.words_per_row + b / BITS;
-        let mask = 1u64 << (b % BITS);
-        let present = self.rows[idx] & mask != 0;
-        self.rows[idx] &= !mask;
         present
     }
 
     /// Returns `true` if the pair `(a, b)` is in the relation.
     pub fn contains(&self, a: usize, b: usize) -> bool {
-        if a >= self.universe || b >= self.universe {
-            return false;
-        }
-        self.rows[a * self.words_per_row + b / BITS] & (1 << (b % BITS)) != 0
+        a < self.universe() && b < self.universe() && self.rows[a] & (1 << b) != 0
     }
 
     /// Number of pairs in the relation.
     pub fn len(&self) -> usize {
-        self.rows.iter().map(|w| w.count_ones() as usize).sum()
+        self.rows.iter().map(|r| r.count_ones() as usize).sum()
     }
 
     /// Returns `true` if the relation contains no pair (the `empty(r)`
     /// axiom predicate).
     pub fn is_empty(&self) -> bool {
-        self.rows.iter().all(|&w| w == 0)
+        self.rows.iter().all(|&r| r == 0)
     }
 
     /// Iterates over all pairs `(a, b)` in row-major order.
@@ -174,43 +149,32 @@ impl Relation {
         Pairs {
             rel: self,
             a: 0,
-            b: 0,
+            bits: Bits(self.rows[0]),
         }
     }
 
-    /// Successors of `a`: every `b` with `(a, b)` in the relation.
-    ///
-    /// Iterates word by word over the bit-packed row, so sparse rows cost
-    /// O(words) rather than O(universe).
+    /// Successors of `a`: every `b` with `(a, b)` in the relation, in
+    /// ascending order.
     pub fn successors(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
-        let row = &self.rows[a * self.words_per_row..(a + 1) * self.words_per_row];
-        row.iter().enumerate().flat_map(|(w, &word)| {
-            let base = w * BITS;
-            std::iter::successors(if word == 0 { None } else { Some(word) }, |&bits| {
-                let rest = bits & (bits - 1);
-                if rest == 0 {
-                    None
-                } else {
-                    Some(rest)
-                }
-            })
-            .map(move |bits| base + bits.trailing_zeros() as usize)
-        })
+        Bits(self.rows[a])
     }
 
     /// Predecessors of `b`: every `a` with `(a, b)` in the relation.
     pub fn predecessors(&self, b: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..self.universe).filter(move |&a| self.contains(a, b))
+        (0..self.universe()).filter(move |&a| self.contains(a, b))
     }
 
     /// The set of elements appearing as a source of some pair.
     pub fn domain(&self) -> ElemSet {
-        ElemSet::from_iter(self.universe, self.iter().map(|(a, _)| a))
+        let sources = (0..self.universe())
+            .filter(|&a| self.rows[a] != 0)
+            .fold(0, |set, a| set | 1 << a);
+        ElemSet::from_row(self.universe(), sources)
     }
 
     /// The set of elements appearing as a target of some pair.
     pub fn range(&self) -> ElemSet {
-        ElemSet::from_iter(self.universe, self.iter().map(|(_, b)| b))
+        ElemSet::from_row(self.universe(), self.rows.iter().fold(0, |set, r| set | r))
     }
 
     /// Union of two relations.
@@ -218,40 +182,24 @@ impl Relation {
         self.zip_with(other, |a, b| a | b)
     }
 
-    /// In-place union: `self ← self ∪ other`, with no allocation.
-    ///
-    /// The workhorse of relation assembly on hot paths (models build `hb`,
-    /// `ob`, `prop` as unions of many parts; the allocating [`Relation::union`]
-    /// clones the row storage every time).
+    /// In-place union: `self ← self ∪ other`.
     pub fn union_in_place(&mut self, other: &Relation) {
-        debug_assert_eq!(
-            self.universe, other.universe,
-            "relation operation across different universes"
-        );
-        for (a, b) in self.rows.iter_mut().zip(&other.rows) {
-            *a |= b;
-        }
+        *self = self.union(other);
     }
 
-    /// In-place intersection: `self ← self ∩ other`, with no allocation.
+    /// In-place intersection: `self ← self ∩ other`.
     pub fn intersect_in_place(&mut self, other: &Relation) {
-        debug_assert_eq!(self.universe, other.universe);
-        for (a, b) in self.rows.iter_mut().zip(&other.rows) {
-            *a &= b;
-        }
+        *self = self.intersection(other);
     }
 
-    /// In-place difference: `self ← self \ other`, with no allocation.
+    /// In-place difference: `self ← self \ other`.
     pub fn difference_in_place(&mut self, other: &Relation) {
-        debug_assert_eq!(self.universe, other.universe);
-        for (a, b) in self.rows.iter_mut().zip(&other.rows) {
-            *a &= !b;
-        }
+        *self = self.difference(other);
     }
 
-    /// Removes every pair: the relation becomes empty (storage is kept).
+    /// Removes every pair: the relation becomes empty.
     pub fn clear(&mut self) {
-        self.rows.fill(0);
+        self.rows = [0; MAX_UNIVERSE];
     }
 
     /// Intersection of two relations.
@@ -266,47 +214,33 @@ impl Relation {
 
     /// Complement with respect to all pairs of the universe.
     pub fn complement(&self) -> Relation {
-        // Word-level: negate each row, masking off the bits past the
-        // universe boundary in the last word.
-        let mut out = self.clone();
-        let tail_bits = self.universe % BITS;
-        let tail_mask = if tail_bits == 0 {
-            u64::MAX
-        } else {
-            (1u64 << tail_bits) - 1
-        };
-        for a in 0..self.universe {
-            let base = a * self.words_per_row;
-            for w in 0..self.words_per_row {
-                let full = (w + 1) * BITS <= self.universe;
-                let mask = if full { u64::MAX } else { tail_mask };
-                out.rows[base + w] = !self.rows[base + w] & mask;
-            }
+        let mut out = Relation::new(self.universe());
+        let full = full_row(self.universe());
+        for (dst, src) in out.rows.iter_mut().zip(self.live_rows()) {
+            *dst = !src & full;
         }
         out
     }
 
     /// The inverse relation `r⁻¹`.
     pub fn inverse(&self) -> Relation {
-        let mut out = Relation::new(self.universe);
+        let mut out = Relation::new(self.universe());
         for (a, b) in self.iter() {
-            out.insert(b, a);
+            out.rows[b] |= 1 << a;
         }
         out
     }
 
     /// Relational composition `self ; other`.
     pub fn compose(&self, other: &Relation) -> Relation {
-        let mut out = Relation::new(self.universe);
+        let mut out = Relation::new(self.universe());
         self.compose_into(other, &mut out);
         out
     }
 
-    /// Allocation-free relational composition: `out ← self ; other`.
-    ///
-    /// `out` is cleared first, so it can be a scratch relation reused across
-    /// calls. Word-level: for every `b` in row `a` of `self`, row `b` of
-    /// `other` is OR-ed into row `a` of `out`.
+    /// Relational composition into an existing relation: `out ← self ;
+    /// other`. Row `a` of `out` is the OR of the rows of `other` that row
+    /// `a` of `self` selects.
     ///
     /// # Panics
     ///
@@ -314,35 +248,23 @@ impl Relation {
     pub fn compose_into(&self, other: &Relation, out: &mut Relation) {
         debug_assert_eq!(self.universe, other.universe);
         debug_assert_eq!(self.universe, out.universe);
-        out.clear();
-        let w = self.words_per_row;
-        for a in 0..self.universe {
-            let dst_base = a * w;
-            for (wi, &word) in self.rows[a * w..(a + 1) * w].iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let b = wi * BITS + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let src_base = b * w;
-                    for j in 0..w {
-                        out.rows[dst_base + j] |= other.rows[src_base + j];
-                    }
-                }
-            }
+        for (dst, &row) in out.rows.iter_mut().zip(&self.rows) {
+            *dst = Bits(row).fold(0, |acc, b| acc | other.rows[b]);
         }
     }
 
     /// Reference composition by the textbook triple loop, kept as an oracle
-    /// for the word-level [`Relation::compose_into`] fast path.
+    /// for the row-level [`Relation::compose_into`].
     pub fn compose_naive(&self, other: &Relation) -> Relation {
         debug_assert_eq!(self.universe, other.universe);
-        let mut out = Relation::new(self.universe);
-        for a in 0..self.universe {
-            for b in 0..self.universe {
+        let n = self.universe();
+        let mut out = Relation::new(n);
+        for a in 0..n {
+            for b in 0..n {
                 if !self.contains(a, b) {
                     continue;
                 }
-                for c in 0..self.universe {
+                for c in 0..n {
                     if other.contains(b, c) {
                         out.insert(a, c);
                     }
@@ -354,7 +276,11 @@ impl Relation {
 
     /// Reflexive closure `r?` (adds the identity on the whole universe).
     pub fn reflexive_closure(&self) -> Relation {
-        self.union(&Relation::identity(self.universe))
+        let mut out = self.clone();
+        for (a, row) in out.rows[..self.universe()].iter_mut().enumerate() {
+            *row |= 1 << a;
+        }
+        out
     }
 
     /// Transitive closure `r⁺`.
@@ -364,37 +290,18 @@ impl Relation {
         out
     }
 
-    /// In-place transitive closure by word-level Floyd–Warshall, with no
-    /// allocation beyond the relation itself.
-    ///
-    /// Two prunes keep litmus-sized closures cheap: a pivot `k` whose row is
-    /// empty contributes nothing and is skipped outright, and within a pivot
-    /// only rows with the `(a, k)` bit set are touched (checked by direct
-    /// word indexing rather than a full `contains`). Rows are split with
-    /// `split_at_mut` so the pivot row is OR-ed in without being copied.
+    /// In-place transitive closure by Warshall's algorithm over the rows:
+    /// for each pivot `k`, every row that reaches `k` absorbs row `k`.
+    /// A pivot with an empty row contributes nothing and is skipped.
     pub fn transitive_closure_in_place(&mut self) {
-        let n = self.universe;
-        let w = self.words_per_row;
-        for k in 0..n {
-            let k_base = k * w;
-            if self.rows[k_base..k_base + w].iter().all(|&x| x == 0) {
+        for k in 0..self.universe() {
+            let pivot = self.rows[k];
+            if pivot == 0 {
                 continue;
             }
-            let (kw, kb) = (k / BITS, 1u64 << (k % BITS));
-            for a in 0..n {
-                if a == k || self.rows[a * w + kw] & kb == 0 {
-                    continue;
-                }
-                let a_base = a * w;
-                // Borrow the pivot row and row `a` disjointly (a != k).
-                let (lo, hi) = self.rows.split_at_mut(a_base.max(k_base));
-                let (dst, src) = if a_base < k_base {
-                    (&mut lo[a_base..a_base + w], &hi[..w])
-                } else {
-                    (&mut hi[..w], &lo[k_base..k_base + w])
-                };
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d |= s;
+            for row in &mut self.rows {
+                if *row & (1 << k) != 0 {
+                    *row |= pivot;
                 }
             }
         }
@@ -424,63 +331,39 @@ impl Relation {
     /// Returns `true` if no pair `(a, a)` is in the relation (the
     /// `irreflexive(r)` axiom predicate).
     pub fn is_irreflexive(&self) -> bool {
-        (0..self.universe).all(|a| !self.contains(a, a))
+        self.live_rows()
+            .iter()
+            .enumerate()
+            .all(|(a, row)| row & (1 << a) == 0)
     }
 
-    /// The smallest successor of `a` that is `>= from`, found by scanning
-    /// the bit-packed row word by word (no allocation).
+    /// The smallest successor of `a` that is `>= from`.
     fn next_successor(&self, a: usize, from: usize) -> Option<usize> {
-        if from >= self.universe {
+        if from >= self.universe() {
             return None;
         }
-        let row = &self.rows[a * self.words_per_row..(a + 1) * self.words_per_row];
-        let mut wi = from / BITS;
-        let mut word = row[wi] & (u64::MAX << (from % BITS));
-        loop {
-            if word != 0 {
-                return Some(wi * BITS + word.trailing_zeros() as usize);
-            }
-            wi += 1;
-            if wi >= row.len() {
-                return None;
-            }
-            word = row[wi];
-        }
+        Bits(self.rows[a] & (u16::MAX << from)).next()
     }
 
     /// Returns `true` if the relation has no cycle (the `acyclic(r)` axiom
     /// predicate), i.e. its transitive closure is irreflexive.
     pub fn is_acyclic(&self) -> bool {
-        // Iterative DFS with colouring; successor rows are scanned in place
-        // through a per-frame cursor, so no per-node allocation happens.
-        let n = self.universe;
-        let mut state = vec![0u8; n]; // 0 white, 1 grey, 2 black
-        let mut stack: Vec<(usize, usize)> = Vec::with_capacity(n); // (node, cursor)
-        for start in 0..n {
-            if state[start] != 0 {
-                continue;
-            }
-            stack.push((start, 0));
-            state[start] = 1;
-            while let Some(frame) = stack.last_mut() {
-                let node = frame.0;
-                match self.next_successor(node, frame.1) {
-                    Some(next) => {
-                        frame.1 = next + 1;
-                        match state[next] {
-                            1 => return false,
-                            0 => {
-                                state[next] = 1;
-                                stack.push((next, 0));
-                            }
-                            _ => {}
-                        }
-                    }
-                    None => {
-                        state[node] = 2;
-                        stack.pop();
-                    }
+        // Peel sinks: an element none of whose successors is still live
+        // lies on no cycle among the live elements. The relation is acyclic
+        // iff peeling empties the universe; a pass that peels nothing leaves
+        // elements that each have a live successor, hence a cycle. Passes
+        // run from the highest element down, so edges that point upwards
+        // (program order, mostly) peel in a single pass.
+        let mut live = full_row(self.universe());
+        while live != 0 {
+            let before = live;
+            for a in (0..self.universe()).rev() {
+                if self.rows[a] & live == 0 {
+                    live &= !(1 << a);
                 }
+            }
+            if live == before {
+                return false;
             }
         }
         true
@@ -489,9 +372,9 @@ impl Relation {
     /// Returns one cycle (as a sequence of elements, first == last) if the
     /// relation has one, for diagnostics. Returns `None` if acyclic.
     pub fn find_cycle(&self) -> Option<Vec<usize>> {
-        let n = self.universe;
-        let mut state = vec![0u8; n]; // 0 white, 1 grey, 2 black
-        let mut parent = vec![usize::MAX; n];
+        let n = self.universe();
+        let mut state = [0u8; MAX_UNIVERSE]; // 0 white, 1 grey, 2 black
+        let mut parent = [usize::MAX; MAX_UNIVERSE];
         let mut stack: Vec<(usize, usize)> = Vec::with_capacity(n); // (node, cursor)
         for start in 0..n {
             if state[start] != 0 {
@@ -545,13 +428,21 @@ impl Relation {
     /// Restricts the relation to pairs whose source is in `set`
     /// (`[set] ; r`).
     pub fn restrict_domain(&self, set: &ElemSet) -> Relation {
-        Relation::identity_on(set).compose(self)
+        let mut out = Relation::new(self.universe());
+        for a in set.iter() {
+            out.rows[a] = self.rows[a];
+        }
+        out
     }
 
     /// Restricts the relation to pairs whose target is in `set`
     /// (`r ; [set]`).
     pub fn restrict_range(&self, set: &ElemSet) -> Relation {
-        self.compose(&Relation::identity_on(set))
+        let mut out = self.clone();
+        for row in &mut out.rows {
+            *row &= set.row();
+        }
+        out
     }
 
     /// Restricts to pairs with both endpoints in `set`.
@@ -563,9 +454,11 @@ impl Relation {
     /// during execution weakening, §4.2(i)).
     pub fn without_elem(&self, elem: usize) -> Relation {
         let mut out = self.clone();
-        for x in 0..self.universe {
-            out.remove(elem, x);
-            out.remove(x, elem);
+        if elem < self.universe() {
+            out.rows[elem] = 0;
+            for row in &mut out.rows {
+                *row &= !(1 << elem);
+            }
         }
         out
     }
@@ -584,20 +477,14 @@ impl Relation {
         out
     }
 
-    fn zip_with(&self, other: &Relation, f: impl Fn(u64, u64) -> u64) -> Relation {
+    fn zip_with(&self, other: &Relation, f: impl Fn(u16, u16) -> u16) -> Relation {
         debug_assert_eq!(
             self.universe, other.universe,
             "relation operation across different universes"
         );
         Relation {
             universe: self.universe,
-            words_per_row: self.words_per_row,
-            rows: self
-                .rows
-                .iter()
-                .zip(&other.rows)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+            rows: std::array::from_fn(|a| f(self.rows[a], other.rows[a])),
         }
     }
 }
@@ -612,25 +499,23 @@ impl fmt::Debug for Relation {
 pub struct Pairs<'a> {
     rel: &'a Relation,
     a: usize,
-    b: usize,
+    bits: Bits,
 }
 
 impl Iterator for Pairs<'_> {
     type Item = (usize, usize);
 
     fn next(&mut self) -> Option<(usize, usize)> {
-        while self.a < self.rel.universe {
-            while self.b < self.rel.universe {
-                let (a, b) = (self.a, self.b);
-                self.b += 1;
-                if self.rel.contains(a, b) {
-                    return Some((a, b));
-                }
+        loop {
+            if let Some(b) = self.bits.next() {
+                return Some((self.a, b));
             }
             self.a += 1;
-            self.b = 0;
+            if self.a >= self.rel.universe() {
+                return None;
+            }
+            self.bits = Bits(self.rel.rows[self.a]);
         }
-        None
     }
 }
 
@@ -782,11 +667,36 @@ mod tests {
 
     #[test]
     fn works_beyond_one_word() {
-        let n = 70;
+        // Element 15 is the top bit of a row, where a shift or mask that is
+        // off by one would show.
+        let n = MAX_UNIVERSE;
         let mut r = Relation::new(n);
-        r.insert(0, 69);
-        r.insert(69, 68);
-        assert!(r.transitive_closure().contains(0, 68));
+        r.insert(0, 15);
+        r.insert(15, 14);
+        let plus = r.transitive_closure();
+        assert!(plus.contains(0, 14));
         assert!(r.is_acyclic());
+        assert_eq!(r.complement().len(), n * n - 2);
+        assert_eq!(
+            r.inverse().iter().collect::<Vec<_>>(),
+            vec![(14, 15), (15, 0)]
+        );
+        assert_eq!(r.domain().iter().collect::<Vec<_>>(), vec![0, 15]);
+        assert_eq!(r.range().iter().collect::<Vec<_>>(), vec![14, 15]);
+        assert!(r.reflexive_closure().contains(15, 15));
+        assert_eq!(r.without_elem(15).len(), 0);
+        r.insert(14, 0);
+        assert_eq!(r.find_cycle(), Some(vec![0, 15, 14]));
+        // Out-of-range queries answer "no" rather than shifting past the row.
+        assert!(!r.contains(0, n) && !r.contains(n, 0));
+        assert!(!r.remove(n, n));
+        assert_eq!(r.predecessors(n).count(), 0);
+        assert_eq!(r.without_elem(n), r);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_UNIVERSE")]
+    fn universe_above_max_panics() {
+        Relation::new(MAX_UNIVERSE + 1);
     }
 }

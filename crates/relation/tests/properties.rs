@@ -4,7 +4,7 @@
 //! cases, so the crate stays dependency-free; every failure reports the seed
 //! of the offending case, which reproduces it exactly.
 
-use tm_relation::{ElemSet, Relation};
+use tm_relation::{ElemSet, Relation, MAX_UNIVERSE};
 
 const N: usize = 8;
 const CASES: u64 = 300;
@@ -39,11 +39,11 @@ impl Gen {
         ElemSet::from_iter(N, (0..members).map(|_| self.below(N)))
     }
 
-    /// A relation over a universe spanning several words, to exercise the
-    /// multi-word paths of the closure and composition kernels.
+    /// A relation over the widest universe, so that the top bit of every
+    /// row is exercised.
     fn wide_relation(&mut self) -> Relation {
-        let n = 70;
-        let pairs = self.below(60);
+        let n = MAX_UNIVERSE;
+        let pairs = self.below(40);
         Relation::from_pairs(n, (0..pairs).map(|_| (self.below(n), self.below(n))))
     }
 }
@@ -278,8 +278,30 @@ fn fast_kernels_agree_on_multi_word_universes() {
         let seed = g.0;
         let a = g.wide_relation();
         let b = g.wide_relation();
+        let n = MAX_UNIVERSE;
         check!(seed, a.compose(&b) == a.compose_naive(&b));
-        check!(seed, a.transitive_closure() == a.transitive_closure_naive());
+        let plus = a.transitive_closure_naive();
+        check!(seed, a.transitive_closure() == plus);
+        check!(seed, a.is_acyclic() == plus.is_irreflexive());
+        match a.find_cycle() {
+            None => check!(seed, a.is_acyclic()),
+            Some(cycle) => {
+                check!(seed, !a.is_acyclic());
+                for w in cycle.windows(2) {
+                    check!(seed, a.contains(w[0], w[1]));
+                }
+                check!(seed, a.contains(*cycle.last().unwrap(), cycle[0]));
+            }
+        }
+        let c = a.complement();
+        check!(seed, c.len() == n * n - a.len());
+        check!(
+            seed,
+            (0..n).all(|x| (0..n).all(|y| a.contains(x, y) != c.contains(x, y)))
+        );
+        let inv = a.inverse();
+        check!(seed, inv.len() == a.len());
+        check!(seed, a.iter().all(|(x, y)| inv.contains(y, x)));
     });
 }
 

@@ -4,16 +4,20 @@
 //! The encoding is exact (decode ∘ encode = identity, pinned by tests): the
 //! event list followed by the eleven primitive relations as explicit pair
 //! lists, everything little-endian. No attempt is made at compression —
-//! banked candidates are rare (a handful per sweep) and tiny (≤ 8 events).
+//! banked candidates are rare (a handful per sweep) and tiny (at most
+//! [`MAX_UNIVERSE`] = 16 events, the most a relation can range over; a
+//! record claiming more is rejected before anything is built).
 
 use tm_exec::{Annot, Event, EventKind, Execution, Fence, Loc, LockCall, ThreadId};
-use tm_relation::Relation;
+use tm_relation::{Relation, MAX_UNIVERSE};
 
 /// Why a byte string failed to decode as an [`Execution`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodecError {
     /// The buffer ended before the structure it promised.
     Truncated,
+    /// The event count exceeds [`MAX_UNIVERSE`].
+    TooManyEvents(u32),
     /// An event carried an unknown kind tag.
     BadEventTag(u8),
     /// A fence event carried an out-of-range fence index.
@@ -30,6 +34,9 @@ impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CodecError::Truncated => write!(f, "execution record truncated"),
+            CodecError::TooManyEvents(n) => {
+                write!(f, "{n} events exceed the limit of {MAX_UNIVERSE}")
+            }
             CodecError::BadEventTag(t) => write!(f, "unknown event kind tag {t}"),
             CodecError::BadFence(i) => write!(f, "fence index {i} out of range"),
             CodecError::BadLockCall(i) => write!(f, "lock-call index {i} out of range"),
@@ -165,8 +172,12 @@ impl<'a> Reader<'a> {
 /// Decodes a byte string produced by [`encode_execution`].
 pub fn decode_execution(bytes: &[u8]) -> Result<Execution, CodecError> {
     let mut r = Reader { bytes, at: 0 };
-    let n = r.u32()? as usize;
-    let mut events = Vec::with_capacity(n.min(1024));
+    let count = r.u32()?;
+    if count > MAX_UNIVERSE as u32 {
+        return Err(CodecError::TooManyEvents(count));
+    }
+    let n = count as usize;
+    let mut events = Vec::with_capacity(n);
     for _ in 0..n {
         let tag = r.u8()?;
         let thread = r.u32()?;
@@ -277,8 +288,17 @@ mod tests {
             decode_execution(&trailing),
             Err(CodecError::TrailingBytes(1))
         );
-        let mut bad_tag = bytes;
+        let mut bad_tag = bytes.clone();
         bad_tag[4] = 9; // first event's kind tag
         assert_eq!(decode_execution(&bad_tag), Err(CodecError::BadEventTag(9)));
+        // An event count past the limit is refused before any event is read.
+        for count in [MAX_UNIVERSE as u32 + 1, u32::MAX] {
+            let mut oversized = bytes.clone();
+            oversized[..4].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(
+                decode_execution(&oversized),
+                Err(CodecError::TooManyEvents(count))
+            );
+        }
     }
 }

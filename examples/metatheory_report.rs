@@ -2,8 +2,11 @@
 //! hardware, and lock elision, each checked up to a bounded execution size.
 //!
 //! Run with `cargo run --release --example metatheory_report [max_events]`.
-//! The default bound keeps the run short; raising it approaches the paper's
-//! bounds at the cost of much longer searches (exactly as in Table 2).
+//! The default bound (3) keeps the run short; raising it approaches the
+//! paper's bounds at the cost of much longer searches (exactly as in
+//! Table 2). The bound is clamped to 2..=5: compiling a 5-event C++
+//! execution to Power can emit 15 events, and relations range over at most
+//! `MAX_UNIVERSE` = 16 (`check_compilation` refuses larger bounds).
 
 use std::env;
 
