@@ -408,6 +408,19 @@ impl Machine {
                 return true;
             }
         }
+        // A release store stays ordered before a later acquire load (the
+        // `[W & Rel]; po; [R & Acq]` clause of ARMv8's `Order` axiom).
+        if let (
+            Instr::Store { mode: em, .. } | Instr::Rmw { mode: em, .. },
+            Instr::Load { mode: lm, .. } | Instr::Rmw { mode: lm, .. },
+        ) = (e, l)
+        {
+            if matches!(em, AccessMode::Release | AccessMode::SeqCst)
+                && matches!(lm, AccessMode::Acquire | AccessMode::SeqCst)
+            {
+                return true;
+            }
+        }
 
         // Control dependencies to stores: a store after a conditional branch
         // on a pending load must wait (approximated via the dep field above).
@@ -891,6 +904,41 @@ mod tests {
         assert_eq!(test.post.to_string(), "0:r0 = 0 /\\ x = 2 /\\ ok0 = 1");
         for seed in 1..=5 {
             let report = crate::runner::run_test(SimArch::Power, &test, 1000, seed);
+            assert!(!report.observed, "observed with seed {seed}");
+        }
+    }
+
+    #[test]
+    fn armv8_keeps_a_release_store_before_a_later_acquire_load() {
+        // SB with release stores and acquire loads: ARMv8's `Order` axiom
+        // forbids both loads reading 0.
+        let thread = |stored: &str, loaded: &str| Thread {
+            instrs: vec![
+                Instr::Store {
+                    loc: stored.into(),
+                    value: 1,
+                    mode: AccessMode::Release,
+                    dep: None,
+                },
+                Instr::Load {
+                    reg: Reg(0),
+                    loc: loaded.into(),
+                    mode: AccessMode::Acquire,
+                    dep: None,
+                },
+            ],
+        };
+        let mut test = LitmusTest::new("sb+rel+acq");
+        test.threads = vec![thread("x", "y"), thread("y", "x")];
+        test.post.conjuncts = (0..2)
+            .map(|thread| Cond::RegEq {
+                thread,
+                reg: Reg(0),
+                value: 0,
+            })
+            .collect();
+        for seed in 1..=5 {
+            let report = crate::runner::run_test(SimArch::Armv8, &test, 1000, seed);
             assert!(!report.observed, "observed with seed {seed}");
         }
     }
