@@ -22,14 +22,17 @@
 //! isolation), publishes the write set atomically to every thread at
 //! commit (multicopy-atomic commit), and acts as a full barrier at both
 //! boundaries.
+//!
+//! The machine runs a [`Program`] (a test compiled to small ids) and keeps
+//! its whole state in bitmasks and flat arrays that [`Machine::run`] resets
+//! in place, so repeated runs of one test allocate nothing.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-
+use crate::program::{Check, Op, Program};
 use crate::rng::SimRng;
 
-use tm_litmus::{AccessMode, DepKind, FenceInstr, Instr, LitmusTest, Reg, Thread};
+use tm_litmus::FenceInstr;
 
-/// The architecture a [`Machine`] simulates.
+/// The architecture a machine simulates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SimArch {
     /// Total store order with store buffers (in-order execution).
@@ -54,123 +57,123 @@ impl SimArch {
     }
 }
 
-/// The final state of one simulated run.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct FinalState {
-    /// Final value of every location.
-    pub memory: Vec<(String, u64)>,
-    /// Final value of every named register, as `(thread, register, value)`.
-    pub registers: Vec<(usize, Reg, u64)>,
-    /// Which threads' transactions committed (true) or aborted (false);
-    /// threads without a transaction are absent.
-    pub txn_committed: Vec<(usize, bool)>,
+/// The mask of the `n` lowest bits.
+fn low_bits(n: usize) -> u32 {
+    u32::MAX.checked_shr(32 - n as u32).unwrap_or(0)
+}
+
+/// The positions of the set bits of `mask`, lowest first.
+fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 /// A coherence-ordered write to one location.
-#[derive(Clone, Debug)]
-struct WriteRecord {
+#[derive(Clone, Copy, Debug)]
+struct Write {
     value: u64,
-    /// Which threads this write has propagated to (always includes the
-    /// writer). Only meaningful on non-multicopy-atomic machines.
-    visible_to: HashSet<usize>,
+    /// The threads this write has propagated to (always including the
+    /// writer). Only ever partial on the non-multicopy-atomic machine.
+    visible: u32,
 }
 
-#[derive(Clone, Debug, Default)]
-struct TxnState {
+#[derive(Clone, Copy, Debug, Default)]
+struct Txn {
     active: bool,
     aborted: bool,
     committed: bool,
     had_txn: bool,
-    read_set: HashSet<String>,
+    /// Locations read.
+    reads: u32,
     /// Locations the transaction read from a write that was already
     /// coherence-before another one (possible on the non-multicopy-atomic
     /// machine, where a newer write may not have reached this thread yet).
-    stale_reads: HashSet<String>,
-    write_set: BTreeMap<String, u64>,
-    saved_regs: HashMap<Reg, u64>,
+    stale: u32,
+    /// Locations written; the values sit in the machine's write-set array.
+    writes: u32,
+    /// The thread's written registers when the transaction began.
+    saved_written: u32,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct ThreadState {
-    instrs: Vec<Instr>,
-    done: Vec<bool>,
-    regs: HashMap<Reg, u64>,
-    store_buffer: Vec<(String, u64)>,
-    txn: TxnState,
-    /// Locks currently held by this thread (lock-elision pseudo-calls).
-    held_locks: HashSet<String>,
-}
-
-/// One operational machine instance executing a litmus test.
-#[derive(Clone, Debug)]
-pub struct Machine {
-    arch: SimArch,
-    threads: Vec<ThreadState>,
-    /// Per-location coherence history; the last *globally propagated* write
-    /// is the final value.
-    history: BTreeMap<String, Vec<WriteRecord>>,
-    locks: HashMap<String, Option<usize>>,
-    thread_count: usize,
+    /// Instructions executed.
+    done: u32,
+    /// Register slots written (an unwritten register reads as 0 but is
+    /// absent from the final state).
+    written: u32,
+    /// Pending `(location, value)` stores, oldest first (x86 only).
+    store_buffer: Vec<(usize, u64)>,
+    /// Mutexes held (lock-elision pseudo-calls).
+    held: u32,
+    txn: Txn,
 }
 
 /// A schedulable step.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Action {
     /// Execute instruction `instr` of thread `thread`.
-    Execute { thread: usize, instr: usize },
+    Execute { thread: u8, instr: u8 },
     /// Flush the oldest store-buffer entry of `thread` to memory.
-    Flush { thread: usize },
+    Flush { thread: u8 },
     /// Propagate write number `index` on `loc` to thread `to` (Power only).
-    Propagate {
-        loc: String,
-        index: usize,
-        to: usize,
-    },
+    Propagate { loc: u8, index: u16, to: u8 },
 }
 
-impl Machine {
-    /// Creates a machine ready to run `test` on `arch`.
-    pub fn new(arch: SimArch, test: &LitmusTest) -> Machine {
-        let mut history: BTreeMap<String, Vec<WriteRecord>> = BTreeMap::new();
-        for loc in test.locations() {
-            let init = test
-                .init
-                .iter()
-                .find(|(l, _)| *l == loc)
-                .map(|(_, v)| *v)
-                .unwrap_or(0);
-            history.insert(
-                loc,
-                vec![WriteRecord {
-                    value: init,
-                    visible_to: (0..test.threads.len()).collect(),
-                }],
-            );
-        }
-        let threads = test
-            .threads
-            .iter()
-            .map(|t: &Thread| ThreadState {
-                instrs: t.instrs.clone(),
-                done: vec![false; t.instrs.len()],
-                regs: HashMap::new(),
-                store_buffer: Vec::new(),
-                txn: TxnState::default(),
-                held_locks: HashSet::new(),
-            })
-            .collect::<Vec<_>>();
-        let thread_count = test.threads.len();
+/// One operational machine, reused across the runs of one [`Program`].
+#[derive(Clone, Debug)]
+pub(crate) struct Machine<'p> {
+    prog: &'p Program,
+    /// Per-location coherence history; the last write is the final value.
+    history: Vec<Vec<Write>>,
+    threads: Vec<ThreadState>,
+    /// The register file: each thread's slots from its `reg_base`.
+    regs: Vec<u64>,
+    /// The register file as each thread's transaction began.
+    saved_regs: Vec<u64>,
+    /// Transactional write-set values, `locations` entries per thread.
+    txn_values: Vec<u64>,
+    /// The holder of each mutex.
+    owners: Vec<Option<usize>>,
+    /// Per-thread propagation eagerness and execution speed of this run.
+    eagerness: Vec<f64>,
+    speed: Vec<f64>,
+    /// The enabled actions of the current step and their weights.
+    actions: Vec<Action>,
+    weights: Vec<f64>,
+}
+
+impl<'p> Machine<'p> {
+    /// A machine ready to run `prog`.
+    pub fn new(prog: &'p Program) -> Machine<'p> {
+        let threads = prog.threads.len();
+        let locations = prog.init.len();
         Machine {
-            arch,
-            threads,
-            history,
-            locks: HashMap::new(),
-            thread_count,
+            prog,
+            history: vec![Vec::new(); locations],
+            threads: vec![ThreadState::default(); threads],
+            regs: vec![0; prog.regs],
+            saved_regs: vec![0; prog.regs],
+            txn_values: vec![0; threads * locations],
+            owners: vec![None; prog.mutexes],
+            eagerness: Vec::with_capacity(threads),
+            speed: Vec::with_capacity(threads),
+            actions: Vec::new(),
+            weights: Vec::new(),
         }
     }
 
-    /// Runs the whole program under a random schedule drawn from `rng`,
-    /// returning the final state.
+    fn all_threads(&self) -> u32 {
+        low_bits(self.threads.len())
+    }
+
+    /// Runs the whole program from its initial state under a random
+    /// schedule drawn from `rng`; the final state stays in the machine.
     ///
     /// Each run draws, per destination thread, a random *propagation
     /// eagerness*: how readily pending writes become visible to that thread.
@@ -178,304 +181,171 @@ impl Machine {
     /// expose the non-multicopy-atomic behaviours (WRC, IRIW) on the Power
     /// machine — the simulation analogue of the `litmus` affinity parameter
     /// the paper uses to coax IRIW out of an 80-core POWER8.
-    pub fn run(mut self, rng: &mut SimRng) -> FinalState {
-        let eagerness: Vec<f64> = (0..self.thread_count)
-            .map(|_| rng.gen_range_f64(0.02, 1.0))
-            .collect();
-        let speed: Vec<f64> = (0..self.thread_count)
-            .map(|_| rng.gen_range_f64(0.02, 1.0))
-            .collect();
+    pub fn run(&mut self, rng: &mut SimRng) {
+        let all = self.all_threads();
+        for (hist, &value) in self.history.iter_mut().zip(&self.prog.init) {
+            hist.clear();
+            hist.push(Write {
+                value,
+                visible: all,
+            });
+        }
+        for thread in &mut self.threads {
+            thread.done = 0;
+            thread.written = 0;
+            thread.store_buffer.clear();
+            thread.held = 0;
+            thread.txn = Txn::default();
+        }
+        self.owners.fill(None);
+        let n = self.threads.len();
+        self.eagerness.clear();
+        self.eagerness
+            .extend((0..n).map(|_| rng.gen_range_f64(0.02, 1.0)));
+        self.speed.clear();
+        self.speed
+            .extend((0..n).map(|_| rng.gen_range_f64(0.02, 1.0)));
         loop {
-            let actions = self.enabled_actions();
-            if actions.is_empty() {
+            self.enabled_actions();
+            if self.actions.is_empty() {
                 break;
             }
-            let weights: Vec<f64> = actions
-                .iter()
-                .map(|a| match a {
-                    Action::Propagate { to, .. } => eagerness[*to],
-                    Action::Execute { thread, .. } => speed[*thread],
-                    Action::Flush { .. } => 1.0,
-                })
-                .collect();
-            let total: f64 = weights.iter().sum();
+            let total: f64 = self.weights.iter().sum();
             let mut pick = rng.gen_range_f64(0.0, total);
-            let mut chosen = actions.len() - 1;
-            for (i, w) in weights.iter().enumerate() {
+            let mut chosen = self.actions.len() - 1;
+            for (i, w) in self.weights.iter().enumerate() {
                 if pick < *w {
                     chosen = i;
                     break;
                 }
                 pick -= w;
             }
-            let action = actions[chosen].clone();
-            self.step(&action, rng);
+            self.step(self.actions[chosen]);
         }
-        self.final_state()
+        // Drain any leftover store buffers so the final memory is coherent.
+        for t in 0..n {
+            self.drain(t);
+        }
     }
 
-    fn final_state(mut self) -> FinalState {
-        // Drain any leftover store buffers so the final memory is coherent.
-        for t in 0..self.thread_count {
-            while !self.threads[t].store_buffer.is_empty() {
-                self.flush_one(t);
+    /// True if the final state satisfies the program's postcondition.
+    pub fn satisfies(&self) -> bool {
+        self.prog.post.iter().all(|check| match *check {
+            Check::Reg { thread, reg, value } => self.reg(thread, reg) == value,
+            Check::Loc { loc, value } => self.final_value(loc) == value,
+            Check::Committed { thread } => {
+                let txn = &self.threads[thread].txn;
+                txn.had_txn && txn.committed
             }
-        }
-        let mut memory: Vec<(String, u64)> = self
-            .history
-            .iter()
-            .map(|(loc, hist)| (loc.clone(), hist.last().map(|w| w.value).unwrap_or(0)))
-            .collect();
-        memory.sort();
-        let mut registers = Vec::new();
-        for (t, thread) in self.threads.iter().enumerate() {
-            let mut regs: Vec<(Reg, u64)> = thread.regs.iter().map(|(r, v)| (*r, *v)).collect();
-            regs.sort();
-            for (r, v) in regs {
-                registers.push((t, r, v));
-            }
-        }
-        let mut txn_committed = Vec::new();
-        for (t, thread) in self.threads.iter().enumerate() {
+            Check::Never => false,
+        })
+    }
+
+    /// Writes a key of the final state into `key`: two runs of one program
+    /// end in equal states exactly when their keys are equal. It holds every
+    /// location's final value, each thread's written-register mask and
+    /// register values, and one word of transaction outcomes.
+    pub fn final_key(&self, key: &mut Vec<u64>) {
+        key.clear();
+        key.extend((0..self.history.len()).map(|loc| self.final_value(loc)));
+        let mut outcomes = 0u64;
+        for (t, (code, thread)) in self.prog.threads.iter().zip(&self.threads).enumerate() {
+            key.push(u64::from(thread.written));
+            key.extend((0..code.regs).map(|r| self.reg(t, r)));
             if thread.txn.had_txn {
-                txn_committed.push((t, thread.txn.committed));
+                outcomes |= (1 | u64::from(thread.txn.committed) << 1) << (2 * t);
             }
         }
-        FinalState {
-            memory,
-            registers,
-            txn_committed,
+        key.push(outcomes);
+    }
+
+    fn final_value(&self, loc: usize) -> u64 {
+        self.history[loc].last().map_or(0, |w| w.value)
+    }
+
+    /// Register slot `reg` of thread `t`, 0 if unwritten.
+    fn reg(&self, t: usize, reg: usize) -> u64 {
+        if self.threads[t].written & 1 << reg == 0 {
+            0
+        } else {
+            self.regs[self.prog.threads[t].reg_base + reg]
         }
     }
 
     // ---- scheduling -------------------------------------------------------
 
-    fn enabled_actions(&self) -> Vec<Action> {
-        let mut actions = Vec::new();
-        for (t, thread) in self.threads.iter().enumerate() {
-            for i in 0..thread.instrs.len() {
-                if !thread.done[i] && self.can_execute(t, i) {
-                    actions.push(Action::Execute {
-                        thread: t,
-                        instr: i,
-                    });
-                    if !self.arch.reorders() {
-                        // In-order: only the first not-done instruction is a
-                        // candidate.
-                        break;
+    /// Fills `actions` and `weights` with the enabled steps, in thread
+    /// order (each thread's executable instructions, then its store-buffer
+    /// flush), followed on Power by the propagations in location, write and
+    /// destination order.
+    fn enabled_actions(&mut self) {
+        self.actions.clear();
+        self.weights.clear();
+        let arch = self.prog.arch;
+        for (t, (code, thread)) in self.prog.threads.iter().zip(&self.threads).enumerate() {
+            let pending = !thread.done & low_bits(code.ops.len());
+            let speed = self.speed[t];
+            if arch.reorders() {
+                // Out of order: an instruction waits only for the earlier,
+                // unexecuted instructions its ordering table names.
+                for i in bits(pending) {
+                    if pending & code.before[i] == 0 {
+                        self.actions.push(Action::Execute {
+                            thread: t as u8,
+                            instr: i as u8,
+                        });
+                        self.weights.push(speed);
                     }
                 }
-                if !thread.done[i] && !self.arch.reorders() {
-                    break;
+            } else if let Some(i) = bits(pending).next() {
+                // In order: only the first unexecuted instruction, and
+                // MFENCE and RMWs wait for the store buffer to drain.
+                if code.drains & 1 << i == 0 || thread.store_buffer.is_empty() {
+                    self.actions.push(Action::Execute {
+                        thread: t as u8,
+                        instr: i as u8,
+                    });
+                    self.weights.push(speed);
                 }
             }
             if !thread.store_buffer.is_empty() {
-                actions.push(Action::Flush { thread: t });
+                self.actions.push(Action::Flush { thread: t as u8 });
+                self.weights.push(1.0);
             }
         }
-        if self.arch.non_mca() {
-            for (loc, hist) in &self.history {
-                for (i, w) in hist.iter().enumerate() {
-                    for t in 0..self.thread_count {
-                        if !w.visible_to.contains(&t) && self.propagation_in_order(loc, i, t) {
-                            actions.push(Action::Propagate {
-                                loc: loc.clone(),
-                                index: i,
-                                to: t,
-                            });
-                        }
+        if arch.non_mca() {
+            // Writes propagate to each thread in coherence order: a write
+            // may reach a thread once every earlier write has.
+            let all = self.all_threads();
+            for (loc, hist) in self.history.iter().enumerate() {
+                let mut behind = 0;
+                for (index, w) in hist.iter().enumerate() {
+                    let missing = all & !w.visible;
+                    for to in bits(missing & !behind) {
+                        self.actions.push(Action::Propagate {
+                            loc: loc as u8,
+                            index: index as u16,
+                            to: to as u8,
+                        });
+                        self.weights.push(self.eagerness[to]);
                     }
+                    behind |= missing;
                 }
             }
         }
-        actions
-    }
-
-    /// Writes propagate to each thread in coherence order.
-    fn propagation_in_order(&self, loc: &str, index: usize, to: usize) -> bool {
-        let hist = &self.history[loc];
-        hist[..index].iter().all(|w| w.visible_to.contains(&to))
-    }
-
-    /// Decides whether instruction `i` of thread `t` may execute now, given
-    /// the architecture's intra-thread ordering rules.
-    fn can_execute(&self, t: usize, i: usize) -> bool {
-        let thread = &self.threads[t];
-        let instr = &thread.instrs[i];
-
-        // An aborted transaction skips forward to its txend.
-        if thread.txn.active && thread.txn.aborted && !matches!(instr, Instr::TxEnd) {
-            // Still has to respect in-order skipping: handled in execute.
-        }
-
-        if !self.arch.reorders() {
-            // In-order machines execute the first unfinished instruction.
-            let first_undone = thread.done.iter().position(|d| !d);
-            if first_undone != Some(i) {
-                return false;
-            }
-            // MFENCE and RMWs wait for the store buffer to drain.
-            return match instr {
-                Instr::Fence(FenceInstr::MFence) | Instr::Rmw { .. } => {
-                    thread.store_buffer.is_empty()
-                }
-                _ => true,
-            };
-        }
-
-        // Out-of-order machines: check ordering constraints against every
-        // earlier, not-yet-executed instruction.
-        for j in 0..i {
-            if thread.done[j] {
-                continue;
-            }
-            if self.must_order(t, j, i) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// True if instruction `earlier` must complete before `later` may start,
-    /// on an out-of-order machine.
-    fn must_order(&self, t: usize, earlier: usize, later: usize) -> bool {
-        let thread = &self.threads[t];
-        let e = &thread.instrs[earlier];
-        let l = &thread.instrs[later];
-
-        // Transactions execute as an in-order block with fences at the
-        // boundaries.
-        if e.is_txn_boundary() || l.is_txn_boundary() {
-            return true;
-        }
-        let e_in_txn = self.in_txn_region(t, earlier);
-        let l_in_txn = self.in_txn_region(t, later);
-        if e_in_txn || l_in_txn {
-            return true;
-        }
-
-        // Same-location accesses stay in order (per-thread coherence).
-        if let (Some(a), Some(b)) = (e.loc(), l.loc()) {
-            if a == b {
-                return true;
-            }
-        }
-
-        // Dependencies: the consumer waits for the producing load.
-        let dep_reg = match l {
-            Instr::Load { dep: Some(d), .. } | Instr::Store { dep: Some(d), .. } => Some(d.reg),
-            _ => None,
-        };
-        if let Some(reg) = dep_reg {
-            if let Instr::Load { reg: r, .. } | Instr::Rmw { reg: r, .. } = e {
-                if *r == reg {
-                    return true;
-                }
-            }
-        }
-
-        // Barriers.
-        match e {
-            Instr::Fence(FenceInstr::Dmb)
-            | Instr::Fence(FenceInstr::Sync)
-            | Instr::Fence(FenceInstr::MFence)
-            | Instr::Fence(FenceInstr::FenceSc) => return true,
-            Instr::Fence(FenceInstr::Lwsync) | Instr::Fence(FenceInstr::DmbLd)
-                // Orders everything except store→load.
-                if (!matches!(l, Instr::Load { .. }) || !self.stores_before(t, earlier)) => {
-                    return true;
-                }
-            Instr::Fence(FenceInstr::DmbSt) => {
-                if matches!(l, Instr::Store { .. } | Instr::Rmw { .. }) {
-                    return true;
-                }
-            }
-            _ => {}
-        }
-        if matches!(l, Instr::Fence(_)) {
-            return true;
-        }
-
-        // Acquire loads are one-way barriers: nothing later may overtake
-        // them. Release stores wait for everything earlier.
-        if let Instr::Load { mode, .. } | Instr::Rmw { mode, .. } = e {
-            if matches!(mode, AccessMode::Acquire | AccessMode::SeqCst) {
-                return true;
-            }
-        }
-        if let Instr::Store { mode, .. } | Instr::Rmw { mode, .. } = l {
-            if matches!(mode, AccessMode::Release | AccessMode::SeqCst) {
-                return true;
-            }
-        }
-        // A release store stays ordered before a later acquire load (the
-        // `[W & Rel]; po; [R & Acq]` clause of ARMv8's `Order` axiom).
-        if let (
-            Instr::Store { mode: em, .. } | Instr::Rmw { mode: em, .. },
-            Instr::Load { mode: lm, .. } | Instr::Rmw { mode: lm, .. },
-        ) = (e, l)
-        {
-            if matches!(em, AccessMode::Release | AccessMode::SeqCst)
-                && matches!(lm, AccessMode::Acquire | AccessMode::SeqCst)
-            {
-                return true;
-            }
-        }
-
-        // Control dependencies to stores: a store after a conditional branch
-        // on a pending load must wait (approximated via the dep field above).
-        // Loads may speculate past control dependencies — that is exactly the
-        // relaxation of Example 1.1.
-        let _ = DepKind::Ctrl;
-
-        // Lock pseudo-calls serialise the whole thread.
-        if matches!(e, Instr::Lock { .. } | Instr::Unlock { .. })
-            || matches!(l, Instr::Lock { .. } | Instr::Unlock { .. })
-        {
-            return true;
-        }
-        false
-    }
-
-    fn stores_before(&self, t: usize, fence_index: usize) -> bool {
-        self.threads[t].instrs[..fence_index]
-            .iter()
-            .any(|i| matches!(i, Instr::Store { .. } | Instr::Rmw { .. }))
-    }
-
-    /// True if instruction `i` sits between a `TxBegin` and its `TxEnd`.
-    fn in_txn_region(&self, t: usize, i: usize) -> bool {
-        let instrs = &self.threads[t].instrs;
-        let mut depth = 0i32;
-        for (j, instr) in instrs.iter().enumerate() {
-            match instr {
-                Instr::TxBegin => depth += 1,
-                Instr::TxEnd => depth -= 1,
-                _ => {}
-            }
-            if j == i {
-                return depth > 0 && !instr.is_txn_boundary();
-            }
-        }
-        false
     }
 
     // ---- execution --------------------------------------------------------
 
-    fn step(&mut self, action: &Action, rng: &mut SimRng) {
+    fn step(&mut self, action: Action) {
         match action {
-            Action::Flush { thread } => self.flush_one(*thread),
+            Action::Flush { thread } => self.flush_one(thread.into()),
             Action::Propagate { loc, index, to } => {
-                self.history
-                    .get_mut(loc)
-                    .expect("location exists")
-                    .get_mut(*index)
-                    .expect("write exists")
-                    .visible_to
-                    .insert(*to);
-                self.notify_conflict(*to, loc);
+                let (loc, to) = (usize::from(loc), usize::from(to));
+                self.history[loc][usize::from(index)].visible |= 1 << to;
+                self.notify_conflicts(1 << to, 1 << loc);
             }
-            Action::Execute { thread, instr } => self.execute(*thread, *instr, rng),
+            Action::Execute { thread, instr } => self.execute(thread.into(), instr.into()),
         }
     }
 
@@ -484,7 +354,13 @@ impl Machine {
             return;
         }
         let (loc, value) = self.threads[t].store_buffer.remove(0);
-        self.commit_write(t, &loc, value, true);
+        self.commit_write(t, loc, value, true);
+    }
+
+    fn drain(&mut self, t: usize) {
+        while !self.threads[t].store_buffer.is_empty() {
+            self.flush_one(t);
+        }
     }
 
     /// Appends a write to the coherence history. `global` publishes it to
@@ -495,206 +371,178 @@ impl Machine {
     /// not the write is visible to that thread yet: once the write is in
     /// the coherence order, such a transaction could only commit by
     /// ordering itself on both sides of it.
-    fn commit_write(&mut self, writer: usize, loc: &str, value: u64, global: bool) {
-        let visible_to: HashSet<usize> = if global || !self.arch.non_mca() {
-            (0..self.thread_count).collect()
+    fn commit_write(&mut self, writer: usize, loc: usize, value: u64, global: bool) {
+        let all = self.all_threads();
+        let visible = if global || !self.prog.arch.non_mca() {
+            all
         } else {
-            [writer].into_iter().collect()
+            1 << writer
         };
-        self.history
-            .entry(loc.to_string())
-            .or_default()
-            .push(WriteRecord { value, visible_to });
-        for t in 0..self.thread_count {
-            if t != writer {
-                self.notify_conflict(t, loc);
+        self.history[loc].push(Write { value, visible });
+        self.notify_conflicts(all & !(1 << writer), 1 << loc);
+    }
+
+    /// Aborts the transaction of every thread in `threads` whose read or
+    /// write set meets `locs`, the locations of newly visible writes
+    /// (strong isolation: any access counts).
+    fn notify_conflicts(&mut self, threads: u32, locs: u32) {
+        for t in bits(threads) {
+            let txn = &mut self.threads[t].txn;
+            if txn.active && !txn.aborted && (txn.reads | txn.writes) & locs != 0 {
+                txn.aborted = true;
             }
         }
     }
 
-    /// Aborts thread `t`'s transaction if a newly visible write conflicts
-    /// with its read or write set (strong isolation: any access counts).
-    fn notify_conflict(&mut self, t: usize, loc: &str) {
-        let txn = &mut self.threads[t].txn;
-        if txn.active
-            && !txn.aborted
-            && (txn.read_set.contains(loc) || txn.write_set.contains_key(loc))
-        {
-            txn.aborted = true;
-        }
+    fn set_reg(&mut self, t: usize, reg: usize, value: u64) {
+        self.regs[self.prog.threads[t].reg_base + reg] = value;
+        self.threads[t].written |= 1 << reg;
     }
 
-    fn read_memory(&self, t: usize, loc: &str) -> u64 {
-        let hist = &self.history[loc];
-        if self.arch.non_mca() {
-            hist.iter()
-                .rev()
-                .find(|w| w.visible_to.contains(&t))
-                .map(|w| w.value)
-                .unwrap_or(0)
-        } else {
-            hist.last().map(|w| w.value).unwrap_or(0)
-        }
+    fn txn_slot(&self, t: usize, loc: usize) -> usize {
+        t * self.history.len() + loc
     }
 
-    fn execute(&mut self, t: usize, i: usize, _rng: &mut SimRng) {
-        let instr = self.threads[t].instrs[i].clone();
-        self.threads[t].done[i] = true;
+    fn execute(&mut self, t: usize, i: usize) {
+        let op = self.prog.threads[t].ops[i];
+        self.threads[t].done |= 1 << i;
 
         // Inside an aborted transaction, everything up to TxEnd is a no-op.
-        if self.threads[t].txn.active
-            && self.threads[t].txn.aborted
-            && !matches!(instr, Instr::TxEnd)
-        {
+        let txn = self.threads[t].txn;
+        if txn.active && txn.aborted && op != Op::TxEnd {
             return;
         }
 
-        match instr {
-            Instr::Load { reg, loc, .. } => {
-                let value = self.load_value(t, &loc);
-                if self.threads[t].txn.active {
-                    if self.reads_stale(t, &loc) {
-                        self.threads[t].txn.stale_reads.insert(loc.clone());
+        match op {
+            Op::Load { reg, loc } => {
+                let value = self.load_value(t, loc);
+                if txn.active {
+                    let stale = self.reads_stale(t, loc);
+                    let txn = &mut self.threads[t].txn;
+                    if stale {
+                        txn.stale |= 1 << loc;
                     }
-                    self.threads[t].txn.read_set.insert(loc);
+                    txn.reads |= 1 << loc;
                 }
-                self.threads[t].regs.insert(reg, value);
+                self.set_reg(t, reg, value);
             }
-            Instr::Store { loc, value, .. } => {
-                if self.threads[t].txn.active {
-                    self.threads[t].txn.write_set.insert(loc, value);
-                } else if self.arch.store_buffer() {
+            Op::Store { loc, value } => {
+                if txn.active {
+                    let slot = self.txn_slot(t, loc);
+                    self.txn_values[slot] = value;
+                    self.threads[t].txn.writes |= 1 << loc;
+                } else if self.prog.arch.store_buffer() {
                     self.threads[t].store_buffer.push((loc, value));
                 } else {
-                    self.commit_write(t, &loc, value, !self.arch.non_mca());
+                    self.commit_write(t, loc, value, !self.prog.arch.non_mca());
                 }
             }
-            Instr::Rmw {
-                reg, loc, value, ..
-            } => {
+            Op::Rmw { reg, loc, value } => {
                 // RMWs are atomic against the coherence history: read the
                 // latest write visible anywhere and append globally.
-                let current = self.history[&loc].last().map(|w| w.value).unwrap_or(0);
-                self.threads[t].regs.insert(reg, current);
-                if self.threads[t].txn.active {
-                    self.threads[t].txn.read_set.insert(loc.clone());
-                    self.threads[t].txn.write_set.insert(loc, value);
+                let current = self.final_value(loc);
+                self.set_reg(t, reg, current);
+                if txn.active {
+                    let slot = self.txn_slot(t, loc);
+                    self.txn_values[slot] = value;
+                    let txn = &mut self.threads[t].txn;
+                    txn.reads |= 1 << loc;
+                    txn.writes |= 1 << loc;
                 } else {
-                    self.commit_write(t, &loc, value, true);
+                    self.commit_write(t, loc, value, true);
                 }
             }
-            Instr::Fence(FenceInstr::Sync) => {
+            Op::Fence(FenceInstr::Sync) => {
                 // sync is cumulative: writes this thread has observed
                 // propagate to everyone.
                 self.propagate_visible_writes(t);
             }
-            Instr::Fence(_) => {}
-            Instr::TxBegin => {
+            Op::Fence(_) => {}
+            Op::TxBegin => {
                 // A transaction boundary has the ordering semantics of a
                 // LOCK-prefixed instruction (§5.2): drain the store buffer
                 // and propagate observed writes cumulatively.
-                while !self.threads[t].store_buffer.is_empty() {
-                    self.flush_one(t);
-                }
+                self.drain(t);
                 self.propagate_visible_writes(t);
-                let saved = self.threads[t].regs.clone();
-                let txn = &mut self.threads[t].txn;
+                let code = &self.prog.threads[t];
+                let slots = code.reg_base..code.reg_base + code.regs;
+                self.saved_regs[slots.clone()].copy_from_slice(&self.regs[slots]);
+                let thread = &mut self.threads[t];
+                let txn = &mut thread.txn;
                 txn.active = true;
                 txn.aborted = false;
                 txn.had_txn = true;
-                txn.read_set.clear();
-                txn.stale_reads.clear();
-                txn.write_set.clear();
-                txn.saved_regs = saved.into_iter().collect();
+                txn.reads = 0;
+                txn.stale = 0;
+                txn.writes = 0;
+                txn.saved_written = thread.written;
             }
-            Instr::TxEnd => {
+            Op::TxEnd => {
                 // Commit is also a full fence on every architecture we
                 // model; on Power it is cumulative (the integrated barrier
                 // behind `tprop1`): writes the transaction read from must be
                 // visible everywhere before its own writes publish.
-                while !self.threads[t].store_buffer.is_empty() {
-                    self.flush_one(t);
-                }
+                self.drain(t);
                 self.propagate_visible_writes(t);
                 // A transaction that read a coherence-stale value of a
                 // location it also writes cannot commit: its write would
                 // land after the newer write it missed, a StrongIsol cycle.
                 let txn = &mut self.threads[t].txn;
-                if txn
-                    .write_set
-                    .keys()
-                    .any(|loc| txn.stale_reads.contains(loc))
-                {
+                if txn.writes & txn.stale != 0 {
                     txn.aborted = true;
                 }
-                let aborted = self.threads[t].txn.aborted;
+                let (aborted, writes, saved_written) = (txn.aborted, txn.writes, txn.saved_written);
                 if aborted {
                     // Roll back registers; the fail handler zeroes ok.
-                    let saved = self.threads[t].txn.saved_regs.clone();
-                    self.threads[t].regs = saved.into_iter().collect();
-                    self.threads[t].txn.committed = false;
+                    let code = &self.prog.threads[t];
+                    let slots = code.reg_base..code.reg_base + code.regs;
+                    self.regs[slots.clone()].copy_from_slice(&self.saved_regs[slots]);
+                    self.threads[t].written = saved_written;
                 } else {
-                    // Commit: publish the write set atomically to everyone.
-                    let writes: Vec<(String, u64)> = self.threads[t]
-                        .txn
-                        .write_set
-                        .iter()
-                        .map(|(l, v)| (l.clone(), *v))
-                        .collect();
-                    for (loc, value) in writes {
-                        self.commit_write(t, &loc, value, true);
+                    // Commit: publish the write set atomically to everyone,
+                    // in location order.
+                    for loc in bits(writes) {
+                        let value = self.txn_values[self.txn_slot(t, loc)];
+                        self.commit_write(t, loc, value, true);
                     }
-                    self.threads[t].txn.committed = true;
                 }
                 let txn = &mut self.threads[t].txn;
+                txn.committed = !aborted;
                 txn.active = false;
-                txn.read_set.clear();
-                txn.stale_reads.clear();
-                txn.write_set.clear();
+                txn.reads = 0;
+                txn.stale = 0;
+                txn.writes = 0;
             }
-            Instr::TxAbort => {
+            Op::TxAbort => {
                 self.threads[t].txn.aborted = true;
             }
-            Instr::Lock { mutex, .. } => {
+            Op::Lock { mutex } => {
                 // The pseudo-call lock() stands for a *correct* lock
                 // implementation, so it synchronises fully: drain the store
                 // buffer, then acquire if free (retry otherwise).
-                while !self.threads[t].store_buffer.is_empty() {
-                    self.flush_one(t);
-                }
-                let owner = self.locks.entry(mutex.clone()).or_insert(None);
-                if owner.is_none() {
-                    *owner = Some(t);
-                    self.threads[t].held_locks.insert(mutex);
+                self.drain(t);
+                if self.owners[mutex].is_none() {
+                    self.owners[mutex] = Some(t);
+                    self.threads[t].held |= 1 << mutex;
                 } else {
                     // Busy: re-enable this instruction so the thread retries.
-                    self.threads[t].done[i] = false;
+                    self.threads[t].done &= !(1 << i);
                 }
             }
-            Instr::Unlock { mutex, .. } => {
+            Op::Unlock { mutex } => {
                 // A correct unlock publishes the critical region's writes
                 // before releasing the mutex: drain the store buffer and
                 // force outstanding writes to propagate everywhere (the
                 // cumulative barrier inside a real unlock).
-                while !self.threads[t].store_buffer.is_empty() {
-                    self.flush_one(t);
+                self.drain(t);
+                let all = self.all_threads();
+                for w in self.history.iter_mut().flatten() {
+                    w.visible = all;
                 }
-                let all: HashSet<usize> = (0..self.thread_count).collect();
-                let newly_visible: Vec<String> = self.history.keys().cloned().collect();
-                for hist in self.history.values_mut() {
-                    for w in hist.iter_mut() {
-                        w.visible_to = all.clone();
-                    }
-                }
-                for loc in newly_visible {
-                    for other in 0..self.thread_count {
-                        if other != t {
-                            self.notify_conflict(other, &loc);
-                        }
-                    }
-                }
-                if self.threads[t].held_locks.remove(&mutex) {
-                    self.locks.insert(mutex, None);
+                self.notify_conflicts(all & !(1 << t), low_bits(self.history.len()));
+                if self.threads[t].held & 1 << mutex != 0 {
+                    self.threads[t].held &= !(1 << mutex);
+                    self.owners[mutex] = None;
                 }
             }
         }
@@ -707,84 +555,60 @@ impl Machine {
     /// transaction observed must propagate everywhere before (or with) the
     /// transaction's own writes. On multicopy-atomic machines it is a no-op.
     fn propagate_visible_writes(&mut self, t: usize) {
-        if !self.arch.non_mca() {
+        if !self.prog.arch.non_mca() {
             return;
         }
-        let all: HashSet<usize> = (0..self.thread_count).collect();
-        // One entry per location, no matter how many of its writes promote.
-        let mut newly_visible: Vec<String> = Vec::new();
-        for (loc, hist) in self.history.iter_mut() {
-            let mut promoted = false;
+        let all = self.all_threads();
+        let mut promoted = 0;
+        for (loc, hist) in self.history.iter_mut().enumerate() {
             for w in hist.iter_mut() {
-                if w.visible_to.contains(&t) && w.visible_to.len() < self.thread_count {
-                    w.visible_to.clone_from(&all);
-                    promoted = true;
-                }
-            }
-            if promoted {
-                newly_visible.push(loc.clone());
-            }
-        }
-        for loc in newly_visible {
-            for other in 0..self.thread_count {
-                if other != t {
-                    self.notify_conflict(other, &loc);
+                if w.visible & 1 << t != 0 && w.visible != all {
+                    w.visible = all;
+                    promoted |= 1 << loc;
                 }
             }
         }
+        self.notify_conflicts(all & !(1 << t), promoted);
     }
 
     /// True if a load of `loc` by thread `t` now reads a write that is not
     /// the last in `loc`'s coherence order (only on the non-multicopy-atomic
     /// machine, and never when the transaction's own write is forwarded).
-    fn reads_stale(&self, t: usize, loc: &str) -> bool {
-        if !self.arch.non_mca() || self.threads[t].txn.write_set.contains_key(loc) {
+    fn reads_stale(&self, t: usize, loc: usize) -> bool {
+        if !self.prog.arch.non_mca() || self.threads[t].txn.writes & 1 << loc != 0 {
             return false;
         }
-        let hist = &self.history[loc];
-        hist.last().is_some_and(|w| !w.visible_to.contains(&t))
+        self.history[loc]
+            .last()
+            .is_some_and(|w| w.visible & 1 << t == 0)
     }
 
-    fn load_value(&self, t: usize, loc: &str) -> u64 {
+    fn load_value(&self, t: usize, loc: usize) -> u64 {
+        let thread = &self.threads[t];
         // Transactional reads see the transaction's own writes first.
-        if self.threads[t].txn.active {
-            if let Some(v) = self.threads[t].txn.write_set.get(loc) {
-                return *v;
-            }
+        if thread.txn.active && thread.txn.writes & 1 << loc != 0 {
+            return self.txn_values[self.txn_slot(t, loc)];
         }
         // Store-buffer forwarding.
-        if let Some((_, v)) = self.threads[t]
-            .store_buffer
-            .iter()
-            .rev()
-            .find(|(l, _)| l == loc)
-        {
-            return *v;
+        if let Some(&(_, v)) = thread.store_buffer.iter().rev().find(|(l, _)| *l == loc) {
+            return v;
         }
-        self.read_memory(t, loc)
-    }
-}
-
-/// Runs `test` `runs` times on `arch` with schedules drawn from `seed`,
-/// collecting the distinct final states.
-pub fn explore(arch: SimArch, test: &LitmusTest, runs: usize, seed: u64) -> Vec<FinalState> {
-    let mut rng = SimRng::seed_from_u64(seed);
-    let mut seen: Vec<FinalState> = Vec::new();
-    for _ in 0..runs {
-        let machine = Machine::new(arch, test);
-        let mut run_rng = SimRng::seed_from_u64(rng.next_u64());
-        let state = machine.run(&mut run_rng);
-        if !seen.contains(&state) {
-            seen.push(state);
+        let hist = &self.history[loc];
+        if self.prog.arch.non_mca() {
+            hist.iter()
+                .rev()
+                .find(|w| w.visible & 1 << t != 0)
+                .map_or(0, |w| w.value)
+        } else {
+            self.final_value(loc)
         }
     }
-    seen
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_litmus::{from_execution, Cond};
+    use tm_litmus::{from_execution, AccessMode, Cond, Instr, LitmusTest, Reg, Thread};
 
     fn observes(arch: SimArch, test: &LitmusTest, runs: usize) -> bool {
         crate::runner::run_test(arch, test, runs, 12345).observed
@@ -882,9 +706,22 @@ mod tests {
     #[test]
     fn final_states_are_deterministic_per_seed() {
         let test = from_execution(&tm_exec::catalog::sb(), "sb");
-        let a = explore(SimArch::Armv8, &test, 50, 7);
-        let b = explore(SimArch::Armv8, &test, 50, 7);
-        assert_eq!(a, b);
+        let prog = Program::compile(SimArch::Armv8, &test);
+        let keys = || {
+            let mut machine = Machine::new(&prog);
+            let mut rng = SimRng::seed_from_u64(7);
+            (0..50)
+                .map(|_| {
+                    machine.run(&mut rng);
+                    let mut key = Vec::new();
+                    machine.final_key(&mut key);
+                    key
+                })
+                .collect::<Vec<_>>()
+        };
+        let first = keys();
+        assert_eq!(first, keys());
+        assert!(first.iter().any(|k| *k != first[0]), "one final state only");
     }
 
     #[test]

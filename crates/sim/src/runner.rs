@@ -1,11 +1,13 @@
 //! Running litmus tests on the operational simulators and checking their
 //! postconditions — the stand-in for the paper's `litmus` hardware runs.
 
+use std::collections::HashSet;
+
+use tm_litmus::LitmusTest;
+
+use crate::machine::{Machine, SimArch};
+use crate::program::Program;
 use crate::rng::SimRng;
-
-use tm_litmus::{Cond, LitmusTest};
-
-use crate::machine::{FinalState, Machine, SimArch};
 
 /// The outcome of running one litmus test many times.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,51 +27,35 @@ pub struct ObservationReport {
     pub observed: bool,
 }
 
-/// Evaluates a postcondition against a final state.
-pub fn satisfies(state: &FinalState, test: &LitmusTest) -> bool {
-    test.post.conjuncts.iter().all(|cond| match cond {
-        Cond::RegEq { thread, reg, value } => {
-            state
-                .registers
-                .iter()
-                .find(|(t, r, _)| t == thread && r == reg)
-                .map(|(_, _, v)| *v)
-                .unwrap_or(0)
-                == *value
-        }
-        Cond::LocEq { loc, value } => {
-            state
-                .memory
-                .iter()
-                .find(|(l, _)| l == loc)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-                == *value
-        }
-        Cond::TxnCommitted { thread } => state
-            .txn_committed
-            .iter()
-            .find(|(t, _)| t == thread)
-            .map(|(_, ok)| *ok)
-            .unwrap_or(false),
-    })
-}
-
 /// Runs `test` `runs` times on the `arch` simulator with schedules derived
 /// from `seed`, reporting whether its postcondition is observable.
+///
+/// The test is compiled once, and every run replays on one reused machine.
+///
+/// # Panics
+///
+/// If `test` has more than [`MAX_THREADS`](crate::MAX_THREADS) threads, a
+/// thread with more than
+/// [`MAX_INSTRS_PER_THREAD`](crate::MAX_INSTRS_PER_THREAD) instructions,
+/// more than [`MAX_LOCATIONS`](crate::MAX_LOCATIONS) distinct locations or
+/// more than [`MAX_MUTEXES`](crate::MAX_MUTEXES) distinct mutexes: the
+/// machine keeps each of these sets in a fixed-width bitmask.
 pub fn run_test(arch: SimArch, test: &LitmusTest, runs: usize, seed: u64) -> ObservationReport {
+    let prog = Program::compile(arch, test);
+    let mut machine = Machine::new(&prog);
     let mut rng = SimRng::seed_from_u64(seed);
     let mut matching = 0usize;
-    let mut states: Vec<FinalState> = Vec::new();
+    let mut states: HashSet<Box<[u64]>> = HashSet::new();
+    let mut key = Vec::new();
     for _ in 0..runs {
-        let machine = Machine::new(arch, test);
         let mut run_rng = SimRng::seed_from_u64(rng.next_u64());
-        let state = machine.run(&mut run_rng);
-        if satisfies(&state, test) {
+        machine.run(&mut run_rng);
+        if machine.satisfies() {
             matching += 1;
         }
-        if !states.contains(&state) {
-            states.push(state);
+        machine.final_key(&mut key);
+        if !states.contains(key.as_slice()) {
+            states.insert(key.as_slice().into());
         }
     }
     ObservationReport {
@@ -123,7 +109,8 @@ impl SuiteObservation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_litmus::from_execution;
+    use crate::{MAX_INSTRS_PER_THREAD, MAX_LOCATIONS, MAX_MUTEXES, MAX_THREADS};
+    use tm_litmus::{from_execution, AccessMode, Cond, FenceInstr, Instr, Reg, Thread};
 
     #[test]
     fn reports_count_matching_runs_and_states() {
@@ -137,30 +124,67 @@ mod tests {
 
     #[test]
     fn satisfies_checks_all_conjunct_kinds() {
-        let state = FinalState {
-            memory: vec![("x".into(), 2)],
-            registers: vec![(1, tm_litmus::Reg(0), 2)],
-            txn_committed: vec![(0, true)],
-        };
+        // txbegin; x = 2; r0 = x; txend always ends with x = 2, r0 = 2 and
+        // a committed transaction.
         let mut test = LitmusTest::new("t");
+        test.threads.push(Thread {
+            instrs: vec![
+                Instr::TxBegin,
+                Instr::Store {
+                    loc: "x".into(),
+                    value: 2,
+                    mode: AccessMode::Plain,
+                    dep: None,
+                },
+                Instr::Load {
+                    reg: Reg(0),
+                    loc: "x".into(),
+                    mode: AccessMode::Plain,
+                    dep: None,
+                },
+                Instr::TxEnd,
+            ],
+        });
         test.post.conjuncts = vec![
             Cond::LocEq {
                 loc: "x".into(),
                 value: 2,
             },
             Cond::RegEq {
-                thread: 1,
-                reg: tm_litmus::Reg(0),
+                thread: 0,
+                reg: Reg(0),
                 value: 2,
             },
             Cond::TxnCommitted { thread: 0 },
+            // Registers and locations a test never writes read as 0.
+            Cond::RegEq {
+                thread: 1,
+                reg: Reg(3),
+                value: 0,
+            },
+            Cond::LocEq {
+                loc: "y".into(),
+                value: 0,
+            },
         ];
-        assert!(satisfies(&state, &test));
-        test.post.conjuncts.push(Cond::LocEq {
-            loc: "y".into(),
-            value: 1,
-        });
-        assert!(!satisfies(&state, &test));
+        let matching = |test: &LitmusTest| run_test(SimArch::Power, test, 20, 5).matching_runs;
+        assert_eq!(matching(&test), 20);
+        for unsatisfiable in [
+            Cond::LocEq {
+                loc: "y".into(),
+                value: 1,
+            },
+            Cond::RegEq {
+                thread: 0,
+                reg: Reg(1),
+                value: 1,
+            },
+            Cond::TxnCommitted { thread: 1 },
+        ] {
+            let mut test = test.clone();
+            test.post.conjuncts.push(unsatisfiable);
+            assert_eq!(matching(&test), 0);
+        }
     }
 
     #[test]
@@ -182,5 +206,91 @@ mod tests {
         let a = run_test(SimArch::Power, &test, 100, 99);
         let b = run_test(SimArch::Power, &test, 100, 99);
         assert_eq!(a, b);
+    }
+
+    /// `threads` threads; thread `t` locks mutex `m<t>`, stores 1 to `x<t>`,
+    /// unlocks, then pads itself with fences to `instrs` instructions.
+    fn wide_test(threads: usize, instrs: usize) -> LitmusTest {
+        let mut test = LitmusTest::new("wide");
+        test.threads = (0..threads)
+            .map(|t| {
+                let mut instrs_of_t = vec![
+                    Instr::Lock {
+                        mutex: format!("m{t}"),
+                        elided: false,
+                    },
+                    Instr::Store {
+                        loc: format!("x{t}"),
+                        value: 1,
+                        mode: AccessMode::Plain,
+                        dep: None,
+                    },
+                    Instr::Unlock {
+                        mutex: format!("m{t}"),
+                        elided: false,
+                    },
+                ];
+                instrs_of_t.resize(instrs, Instr::Fence(FenceInstr::Lwsync));
+                Thread {
+                    instrs: instrs_of_t,
+                }
+            })
+            .collect();
+        test
+    }
+
+    #[test]
+    fn a_test_at_every_limit_runs() {
+        let test = wide_test(MAX_THREADS, MAX_INSTRS_PER_THREAD);
+        assert_eq!(test.locations().len(), MAX_LOCATIONS);
+        for arch in [SimArch::X86, SimArch::Armv8, SimArch::Power] {
+            let report = run_test(arch, &test, 2, 1);
+            assert_eq!((report.matching_runs, report.distinct_states), (2, 1));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_THREADS = 32")]
+    fn a_thread_past_the_limit_is_refused() {
+        let mut test = LitmusTest::new("threads");
+        test.threads = vec![Thread::new(); MAX_THREADS + 1];
+        run_test(SimArch::Power, &test, 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_INSTRS_PER_THREAD = 32")]
+    fn an_instruction_past_the_limit_is_refused() {
+        run_test(
+            SimArch::Power,
+            &wide_test(1, MAX_INSTRS_PER_THREAD + 1),
+            1,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_LOCATIONS = 32")]
+    fn a_location_past_the_limit_is_refused() {
+        let mut test = LitmusTest::new("locations");
+        test.init = (0..=MAX_LOCATIONS).map(|i| (format!("x{i}"), 0)).collect();
+        run_test(SimArch::Power, &test, 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_MUTEXES = 32")]
+    fn a_mutex_past_the_limit_is_refused() {
+        // Two threads lock 17 and 16 distinct mutexes.
+        let mut test = LitmusTest::new("mutexes");
+        test.threads = [0..17, 17..MAX_MUTEXES + 1]
+            .map(|ids| Thread {
+                instrs: ids
+                    .map(|m| Instr::Lock {
+                        mutex: format!("m{m}"),
+                        elided: false,
+                    })
+                    .collect(),
+            })
+            .into();
+        run_test(SimArch::Power, &test, 1, 1);
     }
 }
