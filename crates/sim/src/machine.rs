@@ -118,15 +118,15 @@ struct ThreadState {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Action {
     /// Execute instruction `instr` of thread `thread`.
-    Execute { thread: u8, instr: u8 },
+    Execute { thread: usize, instr: usize },
     /// Flush the oldest store-buffer entry of `thread` to memory.
-    Flush { thread: u8 },
+    Flush { thread: usize },
     /// Propagate write number `index` on `loc` to thread `to` (Power only).
-    Propagate { loc: u8, index: u16, to: u8 },
+    Propagate { loc: usize, index: usize, to: usize },
 }
 
 /// One operational machine, reused across the runs of one [`Program`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Machine<'p> {
     prog: &'p Program,
     /// Per-location coherence history; the last write is the final value.
@@ -174,6 +174,9 @@ impl<'p> Machine<'p> {
 
     /// Runs the whole program from its initial state under a random
     /// schedule drawn from `rng`; the final state stays in the machine.
+    /// A run ends when nothing is enabled: every instruction has executed,
+    /// every store buffer is empty and every write has reached every
+    /// thread.
     ///
     /// Each run draws, per destination thread, a random *propagation
     /// eagerness*: how readily pending writes become visible to that thread.
@@ -222,17 +225,13 @@ impl<'p> Machine<'p> {
             }
             self.step(self.actions[chosen]);
         }
-        // Drain any leftover store buffers so the final memory is coherent.
-        for t in 0..n {
-            self.drain(t);
-        }
     }
 
     /// True if the final state satisfies the program's postcondition.
     pub fn satisfies(&self) -> bool {
         self.prog.post.iter().all(|check| match *check {
             Check::Reg { thread, reg, value } => self.reg(thread, reg) == value,
-            Check::Loc { loc, value } => self.final_value(loc) == value,
+            Check::Loc { loc, value } => self.latest_value(loc) == value,
             Check::Committed { thread } => {
                 let txn = &self.threads[thread].txn;
                 txn.had_txn && txn.committed
@@ -247,7 +246,7 @@ impl<'p> Machine<'p> {
     /// register values, and one word of transaction outcomes.
     pub fn final_key(&self, key: &mut Vec<u64>) {
         key.clear();
-        key.extend((0..self.history.len()).map(|loc| self.final_value(loc)));
+        key.extend((0..self.history.len()).map(|loc| self.latest_value(loc)));
         let mut outcomes = 0u64;
         for (t, (code, thread)) in self.prog.threads.iter().zip(&self.threads).enumerate() {
             key.push(u64::from(thread.written));
@@ -259,7 +258,8 @@ impl<'p> Machine<'p> {
         key.push(outcomes);
     }
 
-    fn final_value(&self, loc: usize) -> u64 {
+    /// The value of the last write in `loc`'s coherence order.
+    fn latest_value(&self, loc: usize) -> u64 {
         self.history[loc].last().map_or(0, |w| w.value)
     }
 
@@ -291,8 +291,8 @@ impl<'p> Machine<'p> {
                 for i in bits(pending) {
                     if pending & code.before[i] == 0 {
                         self.actions.push(Action::Execute {
-                            thread: t as u8,
-                            instr: i as u8,
+                            thread: t,
+                            instr: i,
                         });
                         self.weights.push(speed);
                     }
@@ -302,14 +302,14 @@ impl<'p> Machine<'p> {
                 // MFENCE and RMWs wait for the store buffer to drain.
                 if code.drains & 1 << i == 0 || thread.store_buffer.is_empty() {
                     self.actions.push(Action::Execute {
-                        thread: t as u8,
-                        instr: i as u8,
+                        thread: t,
+                        instr: i,
                     });
                     self.weights.push(speed);
                 }
             }
             if !thread.store_buffer.is_empty() {
-                self.actions.push(Action::Flush { thread: t as u8 });
+                self.actions.push(Action::Flush { thread: t });
                 self.weights.push(1.0);
             }
         }
@@ -322,11 +322,7 @@ impl<'p> Machine<'p> {
                 for (index, w) in hist.iter().enumerate() {
                     let missing = all & !w.visible;
                     for to in bits(missing & !behind) {
-                        self.actions.push(Action::Propagate {
-                            loc: loc as u8,
-                            index: index as u16,
-                            to: to as u8,
-                        });
+                        self.actions.push(Action::Propagate { loc, index, to });
                         self.weights.push(self.eagerness[to]);
                     }
                     behind |= missing;
@@ -339,20 +335,16 @@ impl<'p> Machine<'p> {
 
     fn step(&mut self, action: Action) {
         match action {
-            Action::Flush { thread } => self.flush_one(thread.into()),
+            Action::Flush { thread } => self.flush_one(thread),
             Action::Propagate { loc, index, to } => {
-                let (loc, to) = (usize::from(loc), usize::from(to));
-                self.history[loc][usize::from(index)].visible |= 1 << to;
+                self.history[loc][index].visible |= 1 << to;
                 self.notify_conflicts(1 << to, 1 << loc);
             }
-            Action::Execute { thread, instr } => self.execute(thread.into(), instr.into()),
+            Action::Execute { thread, instr } => self.execute(thread, instr),
         }
     }
 
     fn flush_one(&mut self, t: usize) {
-        if self.threads[t].store_buffer.is_empty() {
-            return;
-        }
         let (loc, value) = self.threads[t].store_buffer.remove(0);
         self.commit_write(t, loc, value, true);
     }
@@ -403,6 +395,13 @@ impl<'p> Machine<'p> {
         t * self.history.len() + loc
     }
 
+    /// Adds `loc = value` to the write set of `t`'s transaction.
+    fn txn_write(&mut self, t: usize, loc: usize, value: u64) {
+        let slot = self.txn_slot(t, loc);
+        self.txn_values[slot] = value;
+        self.threads[t].txn.writes |= 1 << loc;
+    }
+
     fn execute(&mut self, t: usize, i: usize) {
         let op = self.prog.threads[t].ops[i];
         self.threads[t].done |= 1 << i;
@@ -428,9 +427,7 @@ impl<'p> Machine<'p> {
             }
             Op::Store { loc, value } => {
                 if txn.active {
-                    let slot = self.txn_slot(t, loc);
-                    self.txn_values[slot] = value;
-                    self.threads[t].txn.writes |= 1 << loc;
+                    self.txn_write(t, loc, value);
                 } else if self.prog.arch.store_buffer() {
                     self.threads[t].store_buffer.push((loc, value));
                 } else {
@@ -440,14 +437,11 @@ impl<'p> Machine<'p> {
             Op::Rmw { reg, loc, value } => {
                 // RMWs are atomic against the coherence history: read the
                 // latest write visible anywhere and append globally.
-                let current = self.final_value(loc);
+                let current = self.latest_value(loc);
                 self.set_reg(t, reg, current);
                 if txn.active {
-                    let slot = self.txn_slot(t, loc);
-                    self.txn_values[slot] = value;
-                    let txn = &mut self.threads[t].txn;
-                    txn.reads |= 1 << loc;
-                    txn.writes |= 1 << loc;
+                    self.txn_write(t, loc, value);
+                    self.threads[t].txn.reads |= 1 << loc;
                 } else {
                     self.commit_write(t, loc, value, true);
                 }
@@ -600,7 +594,7 @@ impl<'p> Machine<'p> {
                 .find(|w| w.visible & 1 << t != 0)
                 .map_or(0, |w| w.value)
         } else {
-            self.final_value(loc)
+            self.latest_value(loc)
         }
     }
 }

@@ -1,8 +1,6 @@
 //! Running litmus tests on the operational simulators and checking their
 //! postconditions — the stand-in for the paper's `litmus` hardware runs.
 
-use std::collections::HashSet;
-
 use tm_litmus::LitmusTest;
 
 use crate::machine::{Machine, SimArch};
@@ -45,7 +43,8 @@ pub fn run_test(arch: SimArch, test: &LitmusTest, runs: usize, seed: u64) -> Obs
     let mut machine = Machine::new(&prog);
     let mut rng = SimRng::seed_from_u64(seed);
     let mut matching = 0usize;
-    let mut states: HashSet<Box<[u64]>> = HashSet::new();
+    // Distinct final-state keys, sorted.
+    let mut states: Vec<Box<[u64]>> = Vec::new();
     let mut key = Vec::new();
     for _ in 0..runs {
         let mut run_rng = SimRng::seed_from_u64(rng.next_u64());
@@ -54,8 +53,8 @@ pub fn run_test(arch: SimArch, test: &LitmusTest, runs: usize, seed: u64) -> Obs
             matching += 1;
         }
         machine.final_key(&mut key);
-        if !states.contains(key.as_slice()) {
-            states.insert(key.as_slice().into());
+        if let Err(at) = states.binary_search_by(|s| (**s).cmp(&key)) {
+            states.insert(at, key.as_slice().into());
         }
     }
     ObservationReport {
@@ -68,7 +67,12 @@ pub fn run_test(arch: SimArch, test: &LitmusTest, runs: usize, seed: u64) -> Obs
     }
 }
 
-/// Runs a whole suite, returning one report per test.
+/// Runs a whole suite, returning one report per test; test `i` runs with
+/// seed `seed + i`.
+///
+/// # Panics
+///
+/// If a test is past one of the limits [`run_test`] checks.
 pub fn run_suite(
     arch: SimArch,
     tests: &[LitmusTest],
