@@ -23,8 +23,6 @@
 //!                   power | armv8 | cpp
 //!   --expect TARGET compare per-execution consistency against a built-in
 //!                   model and exit non-zero on any drift
-//!   --incremental   drive the delta-threading enumeration instead of the
-//!                   per-execution pipeline (verdicts must agree)
 //!   --symmetry on|off  `on` visits one canonical representative per
 //!                   thread/location-renaming class, reporting both
 //!                   representative and orbit-weighted totals (default off)
@@ -99,10 +97,7 @@ use tm_sweep::{
     merge_sharded, run_sweep, supervise_with, write_report, FailPlan, Heartbeat, SupervisorOptions,
     SweepJob, SweepMode, SweepOptions, SweepOutcome, SweepStatus,
 };
-use tm_synth::{
-    enumerate_exact, enumerate_exact_incremental, enumerate_reduced_incremental,
-    synthesise_suites_with, Symmetry, SynthConfig,
-};
+use tm_synth::{enumerate, synthesise_suites_with, Symmetry, SynthConfig};
 
 /// Exit code for a sweep that finished degraded (quarantined units) or ran
 /// out of budget with units still pending.
@@ -156,7 +151,6 @@ fn usage() -> ExitCode {
         "usage:\n  tm-cat list\n  tm-cat print <target>\n  tm-cat check <file.cat> \
          [--litmus NAME]... [--expect TARGET] [--program]\n  tm-cat sweep <file.cat> \
          [--events N] [--config x86|x86-trimmed[-3t]|power|armv8|cpp] [--expect TARGET] \
-         [--incremental] \
          [--symmetry on|off]\n                [--suites --baseline <file.cat>] \
          [--checkpoint DIR [--resume] \
          [--shard I/M | --supervise M] [--budget SECS]\n                 [--unit-deadline SECS] \
@@ -380,7 +374,6 @@ struct SweepArgs {
     events: usize,
     config_name: String,
     expect: Option<Target>,
-    incremental: bool,
     symmetry: Symmetry,
     suites: bool,
     baseline_path: Option<String>,
@@ -435,7 +428,6 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ExitCode> {
         events: 4,
         config_name: "x86".to_string(),
         expect: None,
-        incremental: false,
         symmetry: Symmetry::Full,
         suites: false,
         baseline_path: None,
@@ -469,10 +461,6 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ExitCode> {
         match flag {
             "--suites" => {
                 parsed.suites = true;
-                i += 1;
-            }
-            "--incremental" => {
-                parsed.incremental = true;
                 i += 1;
             }
             "--resume" => {
@@ -629,16 +617,12 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ExitCode> {
             "--shard and --supervise are mutually exclusive".into(),
         ));
     }
-    if parsed.suites && (parsed.expect.is_some() || parsed.incremental) {
-        eprintln!("tm-cat: --suites does not combine with --expect or --incremental");
+    if parsed.suites && parsed.expect.is_some() {
+        eprintln!("tm-cat: --suites does not combine with --expect");
         return Err(ExitCode::from(2));
     }
     if parsed.suites && parsed.baseline_path.is_none() {
         eprintln!("tm-cat: --suites needs --baseline <file.cat> (the non-TM model)");
-        return Err(ExitCode::from(2));
-    }
-    if parsed.checkpoint.is_some() && parsed.incremental {
-        eprintln!("tm-cat: --checkpoint always runs incrementally; drop --incremental");
         return Err(ExitCode::from(2));
     }
     Ok(parsed)
@@ -683,25 +667,24 @@ fn sweep(args: &[String]) -> ExitCode {
             parsed.symmetry,
         );
     }
-    sweep_legacy(&parsed, &model, &config)
+    sweep_in_memory(&parsed, &model, &config)
 }
 
-/// The original in-memory sweep: no checkpointing, counts only.
-fn sweep_legacy(parsed: &SweepArgs, model: &IrModel, config: &SynthConfig) -> ExitCode {
+/// The in-memory counts sweep: no checkpointing. Each worker drives the
+/// model's incremental checker along the in-place walk, as the
+/// checkpointed runner does per unit.
+fn sweep_in_memory(parsed: &SweepArgs, model: &IrModel, config: &SynthConfig) -> ExitCode {
     let events = parsed.events;
-    let incremental = parsed.incremental;
     let reduced = parsed.symmetry.is_reduced();
     println!(
-        "sweeping `{}` over the {} space, |E| <= {events}{}{}",
+        "sweeping `{}` over the {} space, |E| <= {events}{}",
         model.name(),
         parsed.config_name,
-        if incremental { " (incremental)" } else { "" },
         if reduced { " (symmetry-reduced)" } else { "" }
     );
 
     let reference = parsed.expect.map(|t| t.model());
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    let total = AtomicUsize::new(0);
     let consistent = AtomicUsize::new(0);
     let weighted_consistent = AtomicU64::new(0);
     let drift = AtomicUsize::new(0);
@@ -709,69 +692,35 @@ fn sweep_legacy(parsed: &SweepArgs, model: &IrModel, config: &SynthConfig) -> Ex
     let mut executions = 0usize;
     let mut weighted_executions = 0u64;
     for n in 2..=events {
-        if reduced {
-            // Symmetry-reduced: visit one canonical representative per
-            // isomorphism class, counting each with its orbit size so the
-            // totals still describe the full space.
-            let tally = enumerate_reduced_incremental(config, n, || {
-                let mut checker = model.incremental();
-                let (total, consistent, weighted_consistent, drift) =
-                    (&total, &consistent, &weighted_consistent, &drift);
-                let reference = &reference;
-                move |exec: &Execution, delta: &tm_exec::ir::Delta, orbit: u64| {
-                    checker.advance(exec, delta);
-                    let ok = checker.is_consistent(exec);
-                    total.fetch_add(1, Ordering::Relaxed);
-                    if ok {
-                        consistent.fetch_add(1, Ordering::Relaxed);
-                        weighted_consistent.fetch_add(orbit, Ordering::Relaxed);
-                    }
-                    if let Some(reference) = reference {
-                        if reference.is_consistent(exec) != ok {
-                            drift.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-            executions += tally.representatives;
-            weighted_executions += tally.weighted;
-        } else if incremental {
-            executions += enumerate_exact_incremental(config, n, || {
-                let mut checker = model.incremental();
-                let (total, consistent, drift) = (&total, &consistent, &drift);
-                let reference = &reference;
-                move |exec: &Execution, delta: &tm_exec::ir::Delta| {
-                    checker.advance(exec, delta);
-                    let ok = checker.is_consistent(exec);
-                    total.fetch_add(1, Ordering::Relaxed);
-                    if ok {
-                        consistent.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let Some(reference) = reference {
-                        if reference.is_consistent(exec) != ok {
-                            drift.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        } else {
-            executions += enumerate_exact(config, n, |exec| {
-                let ok = model.is_consistent(exec);
-                total.fetch_add(1, Ordering::Relaxed);
+        // Under symmetry reduction each canonical representative counts
+        // with its orbit size, so the weighted totals describe the full
+        // space (the orbit is always 1 otherwise).
+        let make_sink = || {
+            let mut checker = model.incremental();
+            let reference = &reference;
+            let (consistent, weighted_consistent, drift) =
+                (&consistent, &weighted_consistent, &drift);
+            move |exec: &Execution, delta: &tm_exec::ir::Delta, orbit: u64| {
+                checker.advance(exec, delta);
+                let ok = checker.is_consistent(exec);
                 if ok {
                     consistent.fetch_add(1, Ordering::Relaxed);
+                    weighted_consistent.fetch_add(orbit, Ordering::Relaxed);
                 }
-                if let Some(reference) = &reference {
+                if let Some(reference) = reference {
                     if reference.is_consistent(exec) != ok {
                         drift.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-            });
-        }
+            }
+        };
+        let tally = enumerate(config, n, parsed.symmetry, make_sink, || false);
+        executions += tally.representatives;
+        weighted_executions += tally.weighted;
     }
     let secs = start.elapsed().as_secs_f64();
+    let consistent = consistent.load(Ordering::Relaxed);
     if reduced {
-        let consistent = consistent.load(Ordering::Relaxed);
         let weighted_consistent = weighted_consistent.load(Ordering::Relaxed);
         println!(
             "{executions} representatives in {secs:.3}s ({:.0} effective execs/s): \
@@ -786,10 +735,10 @@ fn sweep_legacy(parsed: &SweepArgs, model: &IrModel, config: &SynthConfig) -> Ex
         );
     } else {
         println!(
-            "{executions} executions in {secs:.3}s ({:.0} execs/s): {} consistent, {} forbidden",
+            "{executions} executions in {secs:.3}s ({:.0} execs/s): {consistent} consistent, {} \
+             forbidden",
             executions as f64 / secs.max(f64::EPSILON),
-            consistent.load(Ordering::Relaxed),
-            total.load(Ordering::Relaxed) - consistent.load(Ordering::Relaxed),
+            executions - consistent,
         );
     }
     let mut code = ExitCode::SUCCESS;
@@ -809,12 +758,7 @@ fn sweep_legacy(parsed: &SweepArgs, model: &IrModel, config: &SynthConfig) -> Ex
         }
     }
     // The in-memory sweep has no work-unit decomposition.
-    let covered = if reduced {
-        weighted_executions
-    } else {
-        executions as u64
-    };
-    print_summary(0, executions as u64, covered, secs, 0);
+    print_summary(0, executions as u64, weighted_executions, secs, 0);
     code
 }
 

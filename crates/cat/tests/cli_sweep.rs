@@ -1,7 +1,8 @@
 //! End-to-end tests of `tm-cat sweep --checkpoint`: the exit-code contract
 //! (0 ok / 1 drift / 2 usage / 3 partial / 42 injected crash), crash-then-
-//! resume suite identity, and supervised sharding — all through the real
-//! binary, the way CI and operators drive it.
+//! resume suite identity, supervised sharding, and counts that agree with
+//! the in-memory sweep — all through the real binary, the way CI and
+//! operators drive it.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -76,6 +77,71 @@ fn suites_section(out: &Output) -> String {
         kept.push('\n');
     }
     kept
+}
+
+/// A counts sweep of the x86-trimmed space (|E| <= 4).
+fn counts_sweep(extra: &[&str]) -> Output {
+    Command::new(BIN)
+        .args([
+            "sweep",
+            TM_MODEL,
+            "--config",
+            "x86-trimmed",
+            "--events",
+            "4",
+        ])
+        .args(extra)
+        .env_remove("TM_SWEEP_FAIL_PLAN")
+        .output()
+        .expect("spawn tm-cat")
+}
+
+/// What the in-memory and checkpointed counts sweeps must agree on: the
+/// consistent/forbidden counts, the orbit-weighted line (symmetry on), and
+/// the representatives/covered fields of the `summary:` line. Timings, the
+/// header and the unit counts differ by design.
+fn counts_profile(out: &Output) -> Vec<String> {
+    let mut profile = Vec::new();
+    for line in stdout(out).lines() {
+        if line.starts_with("orbit-weighted: ") {
+            profile.push(line.to_string());
+        } else if let Some(rest) = line.strip_prefix("summary: ") {
+            let fields: Vec<&str> = rest.split(", ").collect();
+            profile.push(fields[1..3].join(", "));
+        } else if line.ends_with(" forbidden") {
+            let at = line
+                .rfind(": ")
+                .expect("`N executions: C consistent, F forbidden`");
+            profile.push(line[at + 2..].to_string());
+        }
+    }
+    profile
+}
+
+#[test]
+fn in_memory_and_checkpointed_counts_sweeps_agree() {
+    for symmetry in ["off", "on"] {
+        let memory = counts_sweep(&["--symmetry", symmetry]);
+        let dir = Scratch::new(&format!("counts-{symmetry}"));
+        let ckpt = dir.path().to_str().expect("utf8 temp path");
+        let checkpointed = counts_sweep(&["--symmetry", symmetry, "--checkpoint", ckpt]);
+        for out in [&memory, &checkpointed] {
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "stderr:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+        let profile = counts_profile(&memory);
+        let expected_lines = if symmetry == "on" { 3 } else { 2 };
+        assert_eq!(profile.len(), expected_lines, "{profile:?}");
+        assert_eq!(
+            profile,
+            counts_profile(&checkpointed),
+            "--symmetry {symmetry}: in-memory and checkpointed counts differ"
+        );
+    }
 }
 
 #[test]
@@ -174,9 +240,12 @@ fn supervised_shards_match_the_unsharded_run_even_through_a_crash() {
 
 #[test]
 fn usage_and_io_errors_exit_two() {
-    // Unknown option.
-    let out = sweep(&["--definitely-not-a-flag"]);
-    assert_eq!(out.status.code(), Some(2));
+    // Unknown options, `--incremental` among them: every sweep drives the
+    // model's incremental checker, so the flag is gone.
+    for flag in ["--definitely-not-a-flag", "--incremental"] {
+        let out = sweep(&[flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+    }
 
     // Checkpoint knobs without --checkpoint.
     let out = sweep(&["--resume"]);

@@ -6,11 +6,11 @@ use std::time::{Duration, Instant};
 use tm_exec::ir::Delta;
 use tm_exec::{Annot, Event, Execution, ExecutionBuilder, Fence};
 use tm_litmus::Arch;
-use tm_models::{Armv8Model, CppModel, MemoryModel, PowerModel, X86Model};
+use tm_models::{delta_checker, Armv8Model, CppModel, MemoryModel, PowerModel, X86Model};
 use tm_relation::MAX_UNIVERSE;
 use tm_synth::SynthConfig;
 
-use crate::search::{delta_checker, Search};
+use crate::search::Search;
 
 /// The outcome of a bounded compilation-soundness check.
 #[derive(Clone, Debug)]

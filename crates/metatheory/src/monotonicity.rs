@@ -5,10 +5,10 @@ use std::time::{Duration, Instant};
 
 use tm_exec::ir::{txn_polarity, Delta, Polarity, RelBase};
 use tm_exec::Execution;
-use tm_models::{MemoryModel, Target};
+use tm_models::{delta_checker, MemoryModel, Target};
 use tm_synth::{apply_weakening_edits, probe_edit_script, SynthConfig, WeakeningEdit};
 
-use crate::search::{delta_checker, Search};
+use crate::search::Search;
 
 /// The outcome of a bounded monotonicity check.
 #[derive(Clone, Debug)]

@@ -1,9 +1,9 @@
 //! The one loop behind every bounded check of this crate.
 //!
 //! Each check walks every candidate with 2 to `max_events` events on the
-//! delta-threading enumerator ([`enumerate_exact_incremental_until`]). A
-//! worker builds one sink, which drives a stateful [`DeltaChecker`] by the
-//! enumerator's deltas, and the walk stops at the first counterexample any
+//! in-place walker ([`enumerate`], full mode). A worker builds one sink,
+//! which drives a stateful checker ([`tm_models::delta_checker`]) by the
+//! walker's deltas, and the walk stops at the first counterexample any
 //! worker reports.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -11,8 +11,7 @@ use std::sync::Mutex;
 
 use tm_exec::ir::Delta;
 use tm_exec::Execution;
-use tm_models::{DeltaChecker, MemoryModel};
-use tm_synth::{enumerate_exact_incremental_until, SynthConfig};
+use tm_synth::{enumerate, Symmetry, SynthConfig};
 
 /// One bounded search: a tally of the work done, and the first
 /// counterexample reported.
@@ -48,7 +47,11 @@ impl<T: Send> Search<T> {
             if self.stopped() {
                 break;
             }
-            enumerate_exact_incremental_until(config, n, &make_sink, || self.stopped());
+            let orbit_sink = || {
+                let mut sink = make_sink();
+                move |exec: &Execution, delta: &Delta, _: u64| sink(exec, delta)
+            };
+            enumerate(config, n, Symmetry::Full, orbit_sink, || self.stopped());
         }
     }
 
@@ -81,27 +84,4 @@ impl<T: Send> Search<T> {
                 .expect("no worker panics while holding the counterexample"),
         )
     }
-}
-
-/// `model`'s delta-driven checker or, for a model without one, an adapter
-/// that ignores deltas and answers every query from scratch.
-pub(crate) fn delta_checker(model: &dyn MemoryModel) -> Box<dyn DeltaChecker + '_> {
-    model
-        .incremental_checker()
-        .unwrap_or_else(|| Box::new(FromScratch(model)))
-}
-
-/// A stateless [`DeltaChecker`]: every query builds a fresh view.
-struct FromScratch<'m>(&'m dyn MemoryModel);
-
-impl DeltaChecker for FromScratch<'_> {
-    fn advance(&mut self, _exec: &Execution, _delta: &Delta) {}
-
-    fn is_consistent(&mut self, exec: &Execution) -> bool {
-        self.0.is_consistent(exec)
-    }
-
-    fn savepoint(&mut self) {}
-
-    fn rollback(&mut self) {}
 }

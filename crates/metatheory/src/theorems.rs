@@ -5,10 +5,10 @@ use std::time::{Duration, Instant};
 
 use tm_exec::ir::{Delta, DeltaMask};
 use tm_exec::{ExecView, Execution};
-use tm_models::{isolation, CppModel, MemoryModel, ScModel};
+use tm_models::{delta_checker, isolation, CppModel, MemoryModel, ScModel};
 use tm_synth::SynthConfig;
 
-use crate::search::{delta_checker, Search};
+use crate::search::Search;
 
 /// The outcome of a bounded theorem check.
 #[derive(Clone, Debug)]

@@ -155,8 +155,8 @@ pub trait MemoryModel: Send + Sync {
 
     /// A delta-driven [`DeltaChecker`] for this model, or `None` if it only
     /// supports per-execution checking. All built-in models and runtime
-    /// [`ir::IrModel`]s return one; incremental pipelines fall back to
-    /// fresh-view evaluation when this is `None`.
+    /// [`ir::IrModel`]s return one. Pipelines take [`delta_checker`],
+    /// which answers from scratch when this is `None`.
     fn incremental_checker(&self) -> Option<Box<dyn DeltaChecker + '_>> {
         None
     }
@@ -172,6 +172,30 @@ pub trait MemoryModel: Send + Sync {
     fn catalog_target(&self) -> Option<(Target, bool)> {
         None
     }
+}
+
+/// `model`'s delta-driven checker or, for a model without one, an adapter
+/// that ignores deltas and answers every query from scratch — how the
+/// enumeration pipelines drive a model whatever it supports.
+pub fn delta_checker(model: &dyn MemoryModel) -> Box<dyn DeltaChecker + '_> {
+    model
+        .incremental_checker()
+        .unwrap_or_else(|| Box::new(FromScratch(model)))
+}
+
+/// A stateless [`DeltaChecker`]: every query builds a fresh view.
+struct FromScratch<'m>(&'m dyn MemoryModel);
+
+impl DeltaChecker for FromScratch<'_> {
+    fn advance(&mut self, _exec: &Execution, _delta: &Delta) {}
+
+    fn is_consistent(&mut self, exec: &Execution) -> bool {
+        self.0.is_consistent(exec)
+    }
+
+    fn savepoint(&mut self) {}
+
+    fn rollback(&mut self) {}
 }
 
 /// The memory-model targets studied in the paper, with and without their

@@ -18,10 +18,10 @@
 //! static dispatch) attack that:
 //!
 //! * **Weight-ordered (LPT) dispatch** — every unit gets an upper-bound
-//!   weight ([`tm_synth::unit_weight`]); workers always take the heaviest
+//!   weight ([`WorkUnit::weight`]); workers always take the heaviest
 //!   pending unit, so the big rocks land first and the tail is small.
 //! * **Splittable units** — a unit heavier than `max_unit_weight` is
-//!   pre-split ([`tm_synth::split_unit`]) into child subtrees with their
+//!   pre-split ([`WorkUnit::split`]) into child subtrees with their
 //!   own stable ids, journalled as [`Record::Split`]. Mid-run, an idle
 //!   worker is a steal request: a worker running a splittable unit
 //!   between-children hands the unfinished children back to the frontier.
@@ -49,13 +49,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tm_exec::ir::Delta;
-use tm_exec::{ExecView, Execution};
-use tm_models::{CheckerTelemetry, MemoryModel};
+use tm_exec::Execution;
+use tm_models::{delta_checker, CheckerTelemetry, MemoryModel};
 use tm_obs::{Event, Obs, RateWindow};
 use tm_synth::{
-    assemble_suites, canonical_signature, enumerate_unit_incremental, enumerate_unit_reduced,
-    minimal_under_weakenings, split_unit, unit_weight, work_units, CanonSig, ReducedCount,
-    SuiteReport, Symmetry, SynthConfig, WorkUnit,
+    assemble_suites, canonical_signature, enumerate_unit, work_units, worker_count, CanonSig,
+    ForbidFilter, ReducedCount, SuiteReport, Symmetry, SynthConfig, WorkUnit,
 };
 
 use crate::codec::{decode_execution, encode_execution};
@@ -866,7 +865,7 @@ fn expand_leaves(
                 return Ok(());
             }
         };
-        let children = split_unit(job.config, &unit.unit, unit.n, job.symmetry);
+        let children = unit.unit.split(job.config, unit.n, job.symmetry);
         let derived: Vec<u64> = children
             .iter()
             .map(|c| c.stable_id(job.config, unit.n))
@@ -950,9 +949,11 @@ fn accounting_frontier(
         if sched
             && !completed.contains_key(&unit.id)
             && unit.unit.splittable(unit.n)
-            && unit_weight(job.config, &unit.unit, unit.n) > threshold
+            && unit.unit.weight(job.config, unit.n) > threshold
         {
-            for child in split_unit(job.config, &unit.unit, unit.n, job.symmetry)
+            for child in unit
+                .unit
+                .split(job.config, unit.n, job.symmetry)
                 .into_iter()
                 .rev()
             {
@@ -1015,10 +1016,11 @@ fn open_journal(
     }
 }
 
-/// Runs one attempt at a unit, mirroring the sinks of
-/// `tm_synth::synthesise_suites` / the counts sweep exactly — one
-/// implementation per mode, shared between interrupted and uninterrupted
-/// runs, is what makes their results identical.
+/// Runs one attempt at a unit on the model's [`delta_checker`]: counts
+/// mode queries it per candidate, suites mode runs the same
+/// [`ForbidFilter`] as `tm_synth::synthesise_suites`. One implementation
+/// per mode, shared between interrupted and uninterrupted runs, is what
+/// makes their results identical.
 fn run_attempt(
     job: &SweepJob<'_>,
     unit: &UnitRef,
@@ -1059,123 +1061,51 @@ fn run_attempt(
     }
 
     let mut result = UnitResult::default();
-    let mut checker_telemetry: Option<CheckerTelemetry> = None;
-    let tally = match job.mode {
+    let (tally, checker_telemetry) = match job.mode {
         SweepMode::Counts => {
-            if let Some(mut checker) = job.model.incremental_checker() {
-                let tally = expand_unit(
-                    job,
-                    unit,
-                    &mut |exec: &Execution, delta: &Delta, orbit: u64| {
-                        checker.advance(exec, delta);
-                        let ok = checker.is_consistent(exec);
-                        if ok {
-                            result.consistent += 1;
-                            result.weighted_consistent += orbit;
-                        }
-                        if let Some(reference) = job.reference {
-                            if reference.is_consistent(exec) != ok {
-                                result.drift += 1;
-                            }
-                        }
-                    },
-                    should_stop,
-                );
-                checker_telemetry = checker.telemetry();
-                tally
-            } else {
-                expand_unit(
-                    job,
-                    unit,
-                    &mut |exec: &Execution, _delta: &Delta, orbit: u64| {
-                        let ok = job.model.is_consistent(exec);
-                        if ok {
-                            result.consistent += 1;
-                            result.weighted_consistent += orbit;
-                        }
-                        if let Some(reference) = job.reference {
-                            if reference.is_consistent(exec) != ok {
-                                result.drift += 1;
-                            }
-                        }
-                    },
-                    should_stop,
-                )
-            }
+            let mut checker = delta_checker(job.model);
+            let mut sink = |exec: &Execution, delta: &Delta, orbit: u64| {
+                checker.advance(exec, delta);
+                let ok = checker.is_consistent(exec);
+                if ok {
+                    result.consistent += 1;
+                    result.weighted_consistent += orbit;
+                }
+                if let Some(reference) = job.reference {
+                    if reference.is_consistent(exec) != ok {
+                        result.drift += 1;
+                    }
+                }
+            };
+            let tally = enumerate_unit(
+                job.config,
+                &unit.unit,
+                unit.n,
+                job.symmetry,
+                &mut sink,
+                should_stop,
+            );
+            (tally, checker.telemetry())
         }
         SweepMode::Suites => {
             let baseline = job.baseline.expect("suites mode requires a baseline");
-            let incremental = job.model.incremental_checker().is_some()
-                && baseline.incremental_checker().is_some();
-            // Per-unit signature filter: cheap duplicate suppression inside
-            // the unit; the global deduplication happens at assembly.
-            let mut seen: HashSet<CanonSig> = HashSet::new();
-            if incremental {
-                let mut tm_checker = job.model.incremental_checker().expect("probed above");
-                let mut base_checker = baseline.incremental_checker().expect("probed above");
-                let mut probe_buf: Option<Execution> = None;
-                let tally = expand_unit(
-                    job,
-                    unit,
-                    &mut |exec: &Execution, delta: &Delta, _orbit: u64| {
-                        // Thread the delta before any early-out, exactly as
-                        // the live pipeline does.
-                        tm_checker.advance(exec, delta);
-                        base_checker.advance(exec, delta);
-                        if exec.stxn.is_empty() {
-                            return;
-                        }
-                        if tm_checker.is_consistent(exec) || !base_checker.is_consistent(exec) {
-                            return;
-                        }
-                        let sig = canonical_signature(exec);
-                        if !seen.insert(sig) {
-                            return;
-                        }
-                        if !minimal_under_weakenings(tm_checker.as_mut(), exec, &mut probe_buf) {
-                            return;
-                        }
-                        result.candidates.push(encode_execution(exec));
-                    },
-                    should_stop,
-                );
-                checker_telemetry = match (tm_checker.telemetry(), base_checker.telemetry()) {
-                    (Some(mut a), Some(b)) => {
-                        a.merge(b);
-                        Some(a)
-                    }
-                    (one, other) => one.or(other),
-                };
-                tally
-            } else {
-                expand_unit(
-                    job,
-                    unit,
-                    &mut |exec: &Execution, _delta: &Delta, _orbit: u64| {
-                        if exec.txn_classes().is_empty() {
-                            return;
-                        }
-                        let view = ExecView::new(exec);
-                        if job.model.is_consistent_view(&view)
-                            || !baseline.is_consistent_view(&view)
-                        {
-                            return;
-                        }
-                        let sig = canonical_signature(exec);
-                        if !seen.insert(sig) {
-                            return;
-                        }
-                        if !tm_synth::weakenings(exec)
-                            .iter()
-                            .all(|w| job.model.is_consistent(w))
-                        {
-                            return;
-                        }
-                        result.candidates.push(encode_execution(exec));
-                    },
-                    should_stop,
-                )
-            }
+            // The filter's signature set suppresses duplicates inside the
+            // unit; the global deduplication happens at assembly.
+            let mut filter = ForbidFilter::new(job.model, baseline);
+            let mut sink = |exec: &Execution, delta: &Delta, _orbit: u64| {
+                if filter.test(exec, delta).is_some() {
+                    result.candidates.push(encode_execution(exec));
+                }
+            };
+            let tally = enumerate_unit(
+                job.config,
+                &unit.unit,
+                unit.n,
+                job.symmetry,
+                &mut sink,
+                should_stop,
+            );
+            (tally, filter.telemetry())
         }
     };
 
@@ -1197,55 +1127,13 @@ fn run_attempt(
     }))
 }
 
-/// Expands one unit in the job's [`Symmetry`] mode, handing every visited
-/// execution (with its orbit size — always 1 under [`Symmetry::Full`]) to
-/// `sink`. Returns the enumeration tally (kill counters are zero in full
-/// mode, and `weighted == representatives`).
-fn expand_unit(
-    job: &SweepJob<'_>,
-    unit: &UnitRef,
-    sink: &mut impl FnMut(&Execution, &Delta, u64),
-    should_stop: impl Fn() -> bool,
-) -> ReducedCount {
-    match job.symmetry {
-        Symmetry::Full => {
-            let visited = enumerate_unit_incremental(
-                job.config,
-                &unit.unit,
-                unit.n,
-                &mut |exec: &Execution, delta: &Delta| sink(exec, delta, 1),
-                should_stop,
-            );
-            ReducedCount {
-                representatives: visited,
-                weighted: visited as u64,
-                ..ReducedCount::default()
-            }
-        }
-        Symmetry::Reduced => {
-            enumerate_unit_reduced(job.config, &unit.unit, unit.n, sink, should_stop)
-        }
-    }
-}
-
 /// The configured worker thread count — explicit option, `TM_SYNTH_THREADS`
 /// or the machine's parallelism — before clamping to the pending unit
 /// count. The pre-split threshold derives from this (not from
 /// [`worker_threads`]) so it cannot depend on how much work happens to be
 /// pending.
 fn configured_threads(opts: &SweepOptions) -> usize {
-    opts.threads
-        .or_else(|| {
-            std::env::var("TM_SYNTH_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .max(1)
+    opts.threads.unwrap_or_else(worker_count).max(1)
 }
 
 fn worker_threads(opts: &SweepOptions, todo: usize) -> usize {
@@ -1287,7 +1175,7 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
     let full_weight: u64 = if opts.sched {
         units
             .iter()
-            .map(|u| unit_weight(job.config, &u.unit, u.n))
+            .map(|u| u.unit.weight(job.config, u.n))
             .fold(0u64, u64::saturating_add)
     } else {
         0
@@ -1341,9 +1229,9 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
         while let Some(unit) = worklist.pop() {
             if opts.sched
                 && unit.unit.splittable(unit.n)
-                && unit_weight(job.config, &unit.unit, unit.n) > threshold
+                && unit.unit.weight(job.config, unit.n) > threshold
             {
-                let children = split_unit(job.config, &unit.unit, unit.n, job.symmetry);
+                let children = unit.unit.split(job.config, unit.n, job.symmetry);
                 let child_ids: Vec<u64> = children
                     .iter()
                     .map(|c| c.stable_id(job.config, unit.n))
@@ -1375,7 +1263,7 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
         .into_iter()
         .map(|u| {
             let weight = if opts.sched {
-                unit_weight(job.config, &u.unit, u.n)
+                u.unit.weight(job.config, u.n)
             } else {
                 0
             };
@@ -1653,19 +1541,17 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                 && attempt_no == 1
                                 && task.unit.unit.splittable(task.unit.n);
                             let run = if childwise {
-                                let children: Vec<UnitRef> = split_unit(
-                                    job.config,
-                                    &task.unit.unit,
-                                    task.unit.n,
-                                    job.symmetry,
-                                )
-                                .into_iter()
-                                .map(|c| UnitRef {
-                                    n: task.unit.n,
-                                    id: c.stable_id(job.config, task.unit.n),
-                                    unit: c,
-                                })
-                                .collect();
+                                let children: Vec<UnitRef> = task
+                                    .unit
+                                    .unit
+                                    .split(job.config, task.unit.n, job.symmetry)
+                                    .into_iter()
+                                    .map(|c| UnitRef {
+                                        n: task.unit.n,
+                                        id: c.stable_id(job.config, task.unit.n),
+                                        unit: c,
+                                    })
+                                    .collect();
                                 run_children(job, &children, run_start, opts, &sched, beat)
                             } else {
                                 let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1759,7 +1645,7 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                     let shared: Vec<Task> = rest
                                         .into_iter()
                                         .map(|u| {
-                                            let weight = unit_weight(job.config, &u.unit, u.n);
+                                            let weight = u.unit.weight(job.config, u.n);
                                             Task {
                                                 weight,
                                                 unit: u,

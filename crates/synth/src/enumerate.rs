@@ -2,36 +2,45 @@
 //!
 //! # Architecture
 //!
-//! Enumeration is a two-stage pipeline:
+//! One walker on one worker pool:
 //!
-//! 1. A **work-unit producer** splits the space into units of the form
-//!    *(thread-size partition, shape prefix)*: the partition fixes how many
-//!    events each thread owns, and the prefix fixes the kind/location/
-//!    annotation of the first few events. Producing units is cheap (a few
-//!    thousand at most), so it runs up front on the calling thread.
-//! 2. A pool of **workers** (scoped threads, one per available core) claims
-//!    units from a shared atomic cursor. Each worker expands its unit's
-//!    shape prefix to full shape vectors, then enumerates every choice of
-//!    `rf`/`co`/dependencies/RMWs/transactions for each shape, assembling
-//!    candidate [`Execution`]s *directly* — the per-edge constraints
-//!    (reads-from links same-location write→read with one source per read,
-//!    coherence is a total order per location, dependencies stay within a
-//!    thread's program order) are enforced as the edges are chosen, so the
-//!    full well-formedness re-check that the builder-based path pays per
-//!    candidate is skipped (and asserted in debug builds).
+//! 1. [`work_units`] splits the space of `n`-event candidates into units of
+//!    the form *(thread-size partition, shape prefix)*: the partition fixes
+//!    how many events each thread owns, and the prefix fixes the
+//!    kind/location/annotation of the first few events. Producing units is
+//!    cheap (a few thousand at most), so it runs up front on the calling
+//!    thread.
+//! 2. [`enumerate_unit`] expands one unit: it extends the prefix to every
+//!    complete shape vector and walks each shape's relation odometer
+//!    (reads-from, coherence, dependencies, RMWs, transactions) by
+//!    **mutating a single [`Execution`] in place**. The sink sees each
+//!    candidate with the [`Delta`] of edge edits since the previous one (a
+//!    full delta opens every shape vector) and its orbit size. The per-edge
+//!    constraints (reads-from links same-location write→read with one
+//!    source per read, coherence is a total order per location,
+//!    dependencies stay within a thread's program order) hold as the edges
+//!    are chosen, so no candidate is re-checked for well-formedness
+//!    (except by a debug assertion).
+//! 3. [`enumerate`] runs a pool of scoped worker threads (one per available
+//!    core) that claim units from a shared atomic cursor; each worker builds
+//!    one sink and feeds it every unit it claims. The checkpointed sweep
+//!    runner (`tm-sweep`) drives [`enumerate_unit`] from its own scheduler
+//!    instead.
 //!
-//! The callback is `Fn + Sync` and is invoked concurrently from all workers;
-//! callers accumulate through atomics or a mutex. Per-worker visit counters
-//! are summed into the return value.
+//! Under [`Symmetry::Full`] the walker visits every candidate, each with
+//! orbit 1; under [`Symmetry::Reduced`] it visits one lex-leader
+//! representative per thread/location-renaming class, with its exact orbit
+//! size (see the `symmetry` module docs).
 //!
-//! The original single-threaded generate-and-test loop is kept as
-//! [`enumerate_exact_reference`]: it is the oracle the parallel pipeline is
-//! tested against, and the "before" baseline the benchmark harness measures.
+//! The single-threaded generate-and-test loop is kept as
+//! [`enumerate_exact_reference`]: every candidate is assembled through
+//! [`ExecutionBuilder`] and re-checked for well-formedness. It is the oracle
+//! the walker is tested against.
 //!
 //! Set `TM_SYNTH_THREADS` to pin the worker count (e.g. `1` to disable
 //! parallelism).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tm_exec::ir::{Delta, RelBase};
 use tm_exec::{Annot, Event, Execution, ExecutionBuilder};
@@ -50,101 +59,113 @@ use crate::SynthConfig;
 const PREFIX_DEPTH: usize = 3;
 /// In unit tests the prefix is shallower, so the 3-event configurations the
 /// tests use genuinely exercise the prefix-continuation path of
-/// `expand_unit` (with the production depth they would degenerate to
+/// [`enumerate_unit`] (with the production depth they would degenerate to
 /// complete shape vectors).
 #[cfg(test)]
 const PREFIX_DEPTH: usize = 2;
 
 /// Enumerates every well-formed candidate execution with exactly `n` events
-/// within the bounds of `config`, invoking `f` on each. Returns the number
-/// of executions visited.
+/// within the bounds of `config` on the worker pool (see the module docs).
 ///
-/// `f` is called concurrently from a pool of worker threads (see the module
-/// docs); the *set* of executions visited is deterministic, the order is
-/// not.
+/// Each worker builds one sink with `make_sink` and feeds it
+/// `(execution, delta, orbit)` for every candidate of the units it claims:
+/// the execution is mutated in place and `delta` records the edits since
+/// the sink's previous candidate, so a stateful checker per sink stays
+/// coherent by advancing on every call. Under [`Symmetry::Full`] `orbit` is
+/// always 1. The *set* of candidates visited is deterministic; which worker
+/// sees which, and in what order, is not.
+///
+/// `should_stop` is polled before each unit is claimed and between shape
+/// vectors, so a caller that found what it was looking for (see
+/// [`crate::find_distinguishing`]) halts the sweep instead of letting it
+/// run out; the returned tally then covers only the candidates visited.
 ///
 /// Enumeration is canonical up to the obvious symmetries: threads are
-/// listed in non-increasing size order and locations are numbered in first-
-/// use order. Remaining thread symmetry (between equal-sized threads) is
-/// left to the caller to collapse with [`crate::canonical_signature`].
-pub fn enumerate_exact(config: &SynthConfig, n: usize, f: impl Fn(&Execution) + Sync) -> usize {
-    enumerate_exact_with_threads(config, n, worker_count(), f, &|| false)
-}
-
-/// [`enumerate_exact`] with a cooperative stop hook: `should_stop` is
-/// polled in the work-unit claim loop and between shape vectors, so a
-/// caller that found what it was looking for (see
-/// [`crate::find_distinguishing`]) actually halts the sweep instead of
-/// merely ignoring the remaining candidates. The returned count covers the
-/// candidates visited before the stop.
-pub fn enumerate_exact_until(
+/// listed in non-increasing size order and locations are numbered in
+/// first-use order. The remaining symmetry (between equal-sized threads) is
+/// collapsed by [`Symmetry::Reduced`] or left to the caller.
+pub fn enumerate<S>(
     config: &SynthConfig,
     n: usize,
-    f: impl Fn(&Execution) + Sync,
+    symmetry: Symmetry,
+    make_sink: impl Fn() -> S + Sync,
     should_stop: impl Fn() -> bool + Sync,
-) -> usize {
-    enumerate_exact_with_threads(config, n, worker_count(), f, &should_stop)
+) -> ReducedCount
+where
+    S: FnMut(&Execution, &Delta, u64),
+{
+    enumerate_on(
+        worker_count(),
+        config,
+        n,
+        symmetry,
+        &make_sink,
+        &should_stop,
+    )
 }
 
-/// [`enumerate_exact`] with an explicit worker count (tests use this to pin
+/// [`enumerate`] on an explicit number of workers (tests use this to pin
 /// the pool size without touching the process environment).
-fn enumerate_exact_with_threads(
+fn enumerate_on<S>(
+    threads: usize,
     config: &SynthConfig,
     n: usize,
-    threads: usize,
-    f: impl Fn(&Execution) + Sync,
+    symmetry: Symmetry,
+    make_sink: &(impl Fn() -> S + Sync),
     should_stop: &(impl Fn() -> bool + Sync),
-) -> usize {
+) -> ReducedCount
+where
+    S: FnMut(&Execution, &Delta, u64),
+{
     if n == 0 {
-        return 0;
+        return ReducedCount::default();
     }
-    let units = produce_units(config, n, Symmetry::Full);
-    let threads = threads.min(units.len().max(1));
-    if threads <= 1 {
-        let mut count = 0;
-        for unit in &units {
-            if should_stop() {
-                break;
-            }
-            count += expand_unit(config, unit, n, &f, should_stop);
-        }
-        return count;
-    }
+    let units = work_units(config, n, symmetry);
     let cursor = AtomicUsize::new(0);
-    let total = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local = 0usize;
-                loop {
-                    if should_stop() {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(unit) = units.get(i) else { break };
-                    local += expand_unit(config, unit, n, &f, should_stop);
-                }
-                total.fetch_add(local, Ordering::Relaxed);
-            });
+    let worker = || {
+        let mut sink = make_sink();
+        let mut tally = ReducedCount::default();
+        while !should_stop() {
+            let Some(unit) = units.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            tally.add(enumerate_unit(
+                config,
+                unit,
+                n,
+                symmetry,
+                &mut sink,
+                should_stop,
+            ));
         }
-    });
-    total.load(Ordering::Relaxed)
+        tally
+    };
+    let threads = threads.min(units.len());
+    if threads <= 1 {
+        return worker();
+    }
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        let mut tally = ReducedCount::default();
+        for w in workers {
+            tally.add(w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        tally
+    })
 }
 
-/// Enumerates executions of every size from 2 up to `config.max_events`.
-pub fn enumerate_all(config: &SynthConfig, f: impl Fn(&Execution) + Sync) -> usize {
-    let mut count = 0;
-    for n in 2..=config.max_events {
-        count += enumerate_exact(config, n, &f);
-    }
-    count
+/// [`enumerate`] in full mode for a sink that needs neither deltas nor
+/// per-worker state: `f` sees every candidate, concurrently from all
+/// workers. Returns the number of executions visited.
+pub fn enumerate_exact(config: &SynthConfig, n: usize, f: impl Fn(&Execution) + Sync) -> usize {
+    let make_sink = || |exec: &Execution, _: &Delta, _: u64| f(exec);
+    enumerate(config, n, Symmetry::Full, make_sink, || false).representatives
 }
 
 /// The original single-threaded generate-and-test enumerator, retained as
-/// the oracle for the parallel pipeline (see `pipeline_matches_reference` in
-/// this module's tests) and as the benchmark baseline. Every candidate is
-/// assembled through [`ExecutionBuilder`] and re-checked for well-formedness
-/// after the fact.
+/// the oracle for the in-place walker (see `pipeline_matches_reference` in
+/// this module's tests). Every candidate is assembled through
+/// [`ExecutionBuilder`] and re-checked for well-formedness after the fact.
 pub fn enumerate_exact_reference(
     config: &SynthConfig,
     n: usize,
@@ -166,137 +187,43 @@ pub fn enumerate_exact_reference(
     count
 }
 
-/// [`enumerate_exact`], threading *edge deltas* instead of handing each
-/// candidate out as an unrelated execution — the hot path of the
-/// incremental axiom-IR sweep.
+/// Expands one work unit on the calling thread: `sink` sees
+/// `(execution, delta, orbit)` for every candidate of the unit's subspace
+/// (under [`Symmetry::Reduced`], one canonical representative per
+/// isomorphism class with its exact in-space orbit size; units then come
+/// from [`work_units`] in the same mode). A full delta opens each new shape
+/// vector, so a fresh stateful checker per unit is sound.
 ///
-/// Each worker builds one sink with `make_sink` and walks its work units by
-/// **mutating a single [`Execution`] in place**: between consecutive
-/// candidates only the edges of the odometer dimensions that advanced are
-/// removed/added, and the accompanying [`Delta`] records exactly those
-/// edits (a *full* delta announces a brand-new execution at each new shape
-/// vector). The walk orders dimensions so the cheapest-to-invalidate
-/// families change fastest — transactions first, then RMWs, dependencies,
-/// coherence, and reads-from last — maximising how much an incremental
-/// evaluator ([`tm_exec::ir::IncrementalEval`]) can reuse across siblings.
-///
-/// The set of candidates visited is exactly that of [`enumerate_exact`]
-/// (the order differs); the return value is the number visited.
-pub fn enumerate_exact_incremental<S>(
-    config: &SynthConfig,
-    n: usize,
-    make_sink: impl Fn() -> S + Sync,
-) -> usize
-where
-    S: FnMut(&Execution, &Delta),
-{
-    enumerate_exact_incremental_with_threads(config, n, worker_count(), make_sink, &|| false)
-}
-
-/// [`enumerate_exact_incremental`] with a cooperative stop hook, polled in
-/// the work-unit claim loop and between shape vectors (see
-/// [`enumerate_exact_until`]).
-pub fn enumerate_exact_incremental_until<S>(
-    config: &SynthConfig,
-    n: usize,
-    make_sink: impl Fn() -> S + Sync,
-    should_stop: impl Fn() -> bool + Sync,
-) -> usize
-where
-    S: FnMut(&Execution, &Delta),
-{
-    enumerate_exact_incremental_with_threads(config, n, worker_count(), make_sink, &should_stop)
-}
-
-/// [`enumerate_exact_incremental`] with an explicit worker count.
-fn enumerate_exact_incremental_with_threads<S>(
-    config: &SynthConfig,
-    n: usize,
-    threads: usize,
-    make_sink: impl Fn() -> S + Sync,
-    should_stop: &(impl Fn() -> bool + Sync),
-) -> usize
-where
-    S: FnMut(&Execution, &Delta),
-{
-    if n == 0 {
-        return 0;
-    }
-    let units = produce_units(config, n, Symmetry::Full);
-    let threads = threads.min(units.len().max(1));
-    if threads <= 1 {
-        let mut sink = make_sink();
-        let mut count = 0;
-        for unit in &units {
-            if should_stop() {
-                break;
-            }
-            count += expand_unit_incremental(config, unit, n, &mut sink, should_stop);
-        }
-        return count;
-    }
-    let cursor = AtomicUsize::new(0);
-    let total = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut sink = make_sink();
-                let mut local = 0usize;
-                loop {
-                    if should_stop() {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(unit) = units.get(i) else { break };
-                    local += expand_unit_incremental(config, unit, n, &mut sink, should_stop);
-                }
-                total.fetch_add(local, Ordering::Relaxed);
-            });
-        }
-    });
-    total.load(Ordering::Relaxed)
-}
-
-/// [`expand_unit`] for the delta-threading pipeline.
-fn expand_unit_incremental<S: FnMut(&Execution, &Delta)>(
+/// `should_stop` is polled between shape vectors: a deadline or budget hook
+/// halts the unit cooperatively, in which case the partial tally must not
+/// be banked as complete. The tally's `weighted` field equals the candidate
+/// count a full-mode expansion of the same subspace visits.
+pub fn enumerate_unit<S: FnMut(&Execution, &Delta, u64)>(
     config: &SynthConfig,
     unit: &WorkUnit,
     n: usize,
+    symmetry: Symmetry,
     sink: &mut S,
-    should_stop: &impl Fn() -> bool,
-) -> usize {
-    let mut count = 0;
+    should_stop: impl Fn() -> bool,
+) -> ReducedCount {
+    let sym = symmetry
+        .is_reduced()
+        .then(|| partition_sym(&unit.partition));
+    let mut tally = ReducedCount::default();
     let mut shapes = unit.prefix.clone();
     enumerate_shapes(config, n, &mut shapes, &mut |shapes| {
         if should_stop() {
             return;
         }
-        count += enumerate_relations_incremental(config, &unit.partition, shapes, sink);
+        tally.add(enumerate_relations_sym(
+            config,
+            &unit.partition,
+            shapes,
+            sym.as_ref(),
+            sink,
+        ));
     });
-    count
-}
-
-/// Walks every relation choice of one shape vector by mutating a single
-/// execution in place, odometer position *last-first* so the transaction
-/// dimensions (laid out last) are the fastest-changing.
-///
-/// Full-mode adapter over [`enumerate_relations_sym`]: the candidate set
-/// and the `apply_dim` edit sequence are exactly those of the historical
-/// flat odometer.
-fn enumerate_relations_incremental<S: FnMut(&Execution, &Delta)>(
-    config: &SynthConfig,
-    partition: &[usize],
-    shapes: &[EventShape],
-    sink: &mut S,
-) -> usize {
-    enumerate_relations_sym(
-        config,
-        partition,
-        shapes,
-        None,
-        &mut |e: &Execution, d: &Delta, _orbit| sink(e, d),
-    )
-    .representatives
+    tally
 }
 
 /// The unified in-place odometer walker behind both enumeration modes.
@@ -569,9 +496,10 @@ fn apply_dim(
     }
 }
 
-/// Number of worker threads: `TM_SYNTH_THREADS` if set, else the number of
-/// available cores.
-fn worker_count() -> usize {
+/// The enumeration worker count: `TM_SYNTH_THREADS` if it parses as a
+/// number (at least 1), else the number of available cores. The
+/// checkpointed sweep runner uses the same count unless told otherwise.
+pub fn worker_count() -> usize {
     if let Ok(v) = std::env::var("TM_SYNTH_THREADS") {
         if let Ok(n) = v.parse::<usize>() {
             return n.max(1);
@@ -807,23 +735,6 @@ fn interval_set_count(len: usize) -> u64 {
     d[len]
 }
 
-/// Free-function form of [`WorkUnit::split`], the scheduler-facing entry
-/// point: the child subtrees of `unit` one prefix digit deeper.
-pub fn split_unit(
-    config: &SynthConfig,
-    unit: &WorkUnit,
-    n: usize,
-    symmetry: Symmetry,
-) -> Vec<WorkUnit> {
-    unit.split(config, n, symmetry)
-}
-
-/// Free-function form of [`WorkUnit::weight`]: the odometer-subtree upper
-/// bound a weight-ordered scheduler dispatches by.
-pub fn unit_weight(config: &SynthConfig, unit: &WorkUnit, n: usize) -> u64 {
-    unit.weight(config, n)
-}
-
 /// The annotation's stable bit pattern, shared by unit ids and the config
 /// fingerprint.
 pub(crate) fn annot_bits(a: Annot) -> u8 {
@@ -831,10 +742,10 @@ pub(crate) fn annot_bits(a: Annot) -> u8 {
 }
 
 /// The partition × shape-prefix work units of the space of `config` at
-/// exactly `n` events, in deterministic order — the checkpointing granules
-/// a resumable sweep journals, shards and retries individually. Expanding a
-/// unit with [`enumerate_unit_incremental`] visits exactly the candidates
-/// the whole-space pipelines visit for it.
+/// exactly `n` events, in deterministic order — the units [`enumerate`]'s
+/// pool hands out, and the checkpointing granules a resumable sweep
+/// journals, shards and retries individually. Expanding a unit with
+/// [`enumerate_unit`] visits exactly the candidates the pool visits for it.
 ///
 /// In [`Symmetry::Reduced`] mode units whose shape prefix is already
 /// non-canonical are dropped up front (their every candidate is represented
@@ -842,197 +753,6 @@ pub(crate) fn annot_bits(a: Annot) -> u8 {
 /// but the two modes' unit *sets* differ — sweep journals fingerprint the
 /// mode so they never mix.
 pub fn work_units(config: &SynthConfig, n: usize, symmetry: Symmetry) -> Vec<WorkUnit> {
-    produce_units(config, n, symmetry)
-}
-
-/// Expands one work unit through the delta-threading enumeration on the
-/// calling thread: `sink` sees every `(execution, delta)` pair of the
-/// unit's subspace (a full delta opens each new shape vector, so a fresh
-/// stateful checker per unit is sound). `should_stop` is polled between
-/// shape vectors — a deadline or budget hook halts the unit cooperatively,
-/// in which case the partial visit count must not be banked as complete.
-/// Returns the number of candidates visited.
-pub fn enumerate_unit_incremental<S: FnMut(&Execution, &Delta)>(
-    config: &SynthConfig,
-    unit: &WorkUnit,
-    n: usize,
-    sink: &mut S,
-    should_stop: impl Fn() -> bool,
-) -> usize {
-    expand_unit_incremental(config, unit, n, sink, &should_stop)
-}
-
-/// [`enumerate_unit_incremental`] in [`Symmetry::Reduced`] mode: the sink
-/// sees one canonical representative per isomorphism class of the unit's
-/// subspace, each with its exact in-space orbit size (units come from
-/// [`work_units`] with `Symmetry::Reduced`). The returned tally's
-/// `weighted` field equals the candidate count a full-mode expansion of
-/// the same subspace visits.
-pub fn enumerate_unit_reduced<S: FnMut(&Execution, &Delta, u64)>(
-    config: &SynthConfig,
-    unit: &WorkUnit,
-    n: usize,
-    sink: &mut S,
-    should_stop: impl Fn() -> bool,
-) -> ReducedCount {
-    expand_unit_reduced(config, unit, n, sink, &should_stop)
-}
-
-/// [`expand_unit_incremental`] in reduced mode: one [`PartitionSym`] per
-/// unit, one lex-leader check per shape, stabilizer-filtered odometers.
-fn expand_unit_reduced<S: FnMut(&Execution, &Delta, u64)>(
-    config: &SynthConfig,
-    unit: &WorkUnit,
-    n: usize,
-    sink: &mut S,
-    should_stop: &impl Fn() -> bool,
-) -> ReducedCount {
-    let sym = partition_sym(&unit.partition);
-    let mut tally = ReducedCount::default();
-    let mut shapes = unit.prefix.clone();
-    enumerate_shapes(config, n, &mut shapes, &mut |shapes| {
-        if should_stop() {
-            return;
-        }
-        tally.add(enumerate_relations_sym(
-            config,
-            &unit.partition,
-            shapes,
-            Some(&sym),
-            sink,
-        ));
-    });
-    tally
-}
-
-/// [`enumerate_exact`] under symmetry reduction: `f` sees one canonical
-/// representative per thread/location-renaming class with its exact orbit
-/// size; `Σ orbit` over the calls (the returned `weighted`) equals
-/// [`enumerate_exact`]'s visit count.
-pub fn enumerate_reduced(
-    config: &SynthConfig,
-    n: usize,
-    f: impl Fn(&Execution, u64) + Sync,
-) -> ReducedCount {
-    enumerate_reduced_incremental_with_threads(
-        config,
-        n,
-        worker_count(),
-        || |exec: &Execution, _delta: &Delta, orbit: u64| f(exec, orbit),
-        &|| false,
-    )
-}
-
-/// [`enumerate_reduced`] with a cooperative stop hook (see
-/// [`enumerate_exact_until`]).
-pub fn enumerate_reduced_until(
-    config: &SynthConfig,
-    n: usize,
-    f: impl Fn(&Execution, u64) + Sync,
-    should_stop: impl Fn() -> bool + Sync,
-) -> ReducedCount {
-    enumerate_reduced_incremental_with_threads(
-        config,
-        n,
-        worker_count(),
-        || |exec: &Execution, _delta: &Delta, orbit: u64| f(exec, orbit),
-        &should_stop,
-    )
-}
-
-/// [`enumerate_exact_incremental`] under symmetry reduction: each worker's
-/// sink sees `(execution, delta, orbit)` for canonical representatives
-/// only, with the same delta-threading contract as the full pipeline.
-pub fn enumerate_reduced_incremental<S>(
-    config: &SynthConfig,
-    n: usize,
-    make_sink: impl Fn() -> S + Sync,
-) -> ReducedCount
-where
-    S: FnMut(&Execution, &Delta, u64),
-{
-    enumerate_reduced_incremental_with_threads(config, n, worker_count(), make_sink, &|| false)
-}
-
-/// [`enumerate_reduced_incremental`] with a cooperative stop hook.
-pub fn enumerate_reduced_incremental_until<S>(
-    config: &SynthConfig,
-    n: usize,
-    make_sink: impl Fn() -> S + Sync,
-    should_stop: impl Fn() -> bool + Sync,
-) -> ReducedCount
-where
-    S: FnMut(&Execution, &Delta, u64),
-{
-    enumerate_reduced_incremental_with_threads(config, n, worker_count(), make_sink, &should_stop)
-}
-
-/// The reduced-mode worker pool (mirrors
-/// `enumerate_exact_incremental_with_threads`).
-fn enumerate_reduced_incremental_with_threads<S>(
-    config: &SynthConfig,
-    n: usize,
-    threads: usize,
-    make_sink: impl Fn() -> S + Sync,
-    should_stop: &(impl Fn() -> bool + Sync),
-) -> ReducedCount
-where
-    S: FnMut(&Execution, &Delta, u64),
-{
-    if n == 0 {
-        return ReducedCount::default();
-    }
-    let units = produce_units(config, n, Symmetry::Reduced);
-    let threads = threads.min(units.len().max(1));
-    if threads <= 1 {
-        let mut sink = make_sink();
-        let mut tally = ReducedCount::default();
-        for unit in &units {
-            if should_stop() {
-                break;
-            }
-            tally.add(expand_unit_reduced(config, unit, n, &mut sink, should_stop));
-        }
-        return tally;
-    }
-    let cursor = AtomicUsize::new(0);
-    let representatives = AtomicUsize::new(0);
-    let weighted = AtomicU64::new(0);
-    let shape_kills = AtomicU64::new(0);
-    let subtree_kills = AtomicU64::new(0);
-    let edge_kills = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut sink = make_sink();
-                let mut local = ReducedCount::default();
-                loop {
-                    if should_stop() {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(unit) = units.get(i) else { break };
-                    local.add(expand_unit_reduced(config, unit, n, &mut sink, should_stop));
-                }
-                representatives.fetch_add(local.representatives, Ordering::Relaxed);
-                weighted.fetch_add(local.weighted, Ordering::Relaxed);
-                shape_kills.fetch_add(local.shape_kills, Ordering::Relaxed);
-                subtree_kills.fetch_add(local.subtree_kills, Ordering::Relaxed);
-                edge_kills.fetch_add(local.edge_kills, Ordering::Relaxed);
-            });
-        }
-    });
-    ReducedCount {
-        representatives: representatives.load(Ordering::Relaxed),
-        weighted: weighted.load(Ordering::Relaxed),
-        shape_kills: shape_kills.load(Ordering::Relaxed),
-        subtree_kills: subtree_kills.load(Ordering::Relaxed),
-        edge_kills: edge_kills.load(Ordering::Relaxed),
-    }
-}
-
-/// Stage 1 of the pipeline: the partition × shape-prefix work units.
-fn produce_units(config: &SynthConfig, n: usize, symmetry: Symmetry) -> Vec<WorkUnit> {
     let depth = n.min(PREFIX_DEPTH);
     let mut units = Vec::new();
     for partition in compositions(n, config.max_threads) {
@@ -1048,27 +768,6 @@ fn produce_units(config: &SynthConfig, n: usize, symmetry: Symmetry) -> Vec<Work
         });
     }
     units
-}
-
-/// Stage 2: expands a unit's shape prefix to full shape vectors and
-/// enumerates all relation choices for each. Returns how many executions
-/// were visited.
-fn expand_unit(
-    config: &SynthConfig,
-    unit: &WorkUnit,
-    n: usize,
-    f: &(impl Fn(&Execution) + Sync),
-    should_stop: &impl Fn() -> bool,
-) -> usize {
-    let mut count = 0;
-    let mut shapes = unit.prefix.clone();
-    enumerate_shapes(config, n, &mut shapes, &mut |shapes| {
-        if should_stop() {
-            return;
-        }
-        count += enumerate_relations(config, &unit.partition, shapes, f);
-    });
-    count
 }
 
 /// The non-increasing compositions of `n` into at most `max_parts` parts.
@@ -1355,9 +1054,9 @@ fn relation_choices(
     }
 }
 
-/// The odometer layout shared by the direct and reference enumerators: the
-/// dimension vector and the offset of each choice family within an index
-/// tuple.
+/// The odometer layout shared by the in-place walker and the reference
+/// enumerator: the dimension vector and the offset of each choice family
+/// within an index tuple.
 pub(crate) struct OdometerLayout {
     pub(crate) dims: Vec<usize>,
     pub(crate) rf_at: usize,
@@ -1403,95 +1102,6 @@ fn shape_events(shapes: &[EventShape], thread_of: &[u32]) -> Vec<Event> {
             EventShape::Fence(k) => Event::fence(thread_of[e], k),
         })
         .collect()
-}
-
-/// Enumerates every relation choice for one complete shape vector,
-/// assembling each candidate [`Execution`] directly from the chosen edges.
-///
-/// Well-formedness is enforced *as edges are chosen* (see the comments in
-/// [`relation_choices`]): program order is fixed per partition, every `rf`
-/// option pairs a read with a same-location write, every `co` option is a
-/// total order of the writes to one location, dependency/RMW pairs stay
-/// within one thread's program order, and transactions are contiguous
-/// per-thread intervals. The builder-based reference path re-validates all
-/// of this per candidate; here it is a debug assertion.
-fn enumerate_relations(
-    config: &SynthConfig,
-    partition: &[usize],
-    shapes: &[EventShape],
-    f: &(impl Fn(&Execution) + Sync),
-) -> usize {
-    let choices = relation_choices(config, partition, shapes);
-    let events = shape_events(shapes, &choices.thread_of);
-    let OdometerLayout {
-        dims,
-        rf_at,
-        co_at,
-        dep_at,
-        rmw_at,
-        txn_at,
-    } = choices.odometer();
-
-    let mut count = 0usize;
-    for_each_product(&dims, |idx| {
-        // Early rejection: the transaction budget depends only on the chosen
-        // interval sets, so check it before assembling anything.
-        let txn_count: usize = choices
-            .txn_options
-            .iter()
-            .enumerate()
-            .map(|(t, opts)| opts[idx[txn_at + t]].len())
-            .sum();
-        if txn_count > config.max_txns {
-            return;
-        }
-
-        let mut exec = Execution::with_events(events.clone());
-        exec.po = choices.po.clone();
-        for (i, &r) in choices.reads.iter().enumerate() {
-            if let Some(w) = choices.rf_options[i][idx[rf_at + i]] {
-                exec.rf.insert(w, r);
-            }
-        }
-        for (i, options) in choices.co_options.iter().enumerate() {
-            let order = &options[idx[co_at + i]];
-            for (k, &a) in order.iter().enumerate() {
-                for &b in &order[k + 1..] {
-                    exec.co.insert(a, b);
-                }
-            }
-        }
-        for (i, &(r, e)) in choices.dep_pairs.iter().enumerate() {
-            if idx[dep_at + i] == 1 {
-                if choices.is_write[e] {
-                    exec.data.insert(r, e);
-                } else {
-                    exec.addr.insert(r, e);
-                }
-            }
-        }
-        for (i, &(r, w)) in choices.rmw_pairs.iter().enumerate() {
-            if idx[rmw_at + i] == 1 {
-                exec.rmw.insert(r, w);
-            }
-        }
-        for (t, _) in choices.thread_blocks.iter().enumerate() {
-            for interval in &choices.txn_options[t][idx[txn_at + t]] {
-                for &a in interval {
-                    for &b in interval {
-                        exec.stxn.insert(a, b);
-                    }
-                }
-            }
-        }
-        debug_assert!(
-            tm_exec::check_well_formed(&exec).is_ok(),
-            "direct assembly must produce well-formed executions"
-        );
-        count += 1;
-        f(&exec);
-    });
-    count
 }
 
 /// The builder-based generate-and-test loop behind
@@ -1559,7 +1169,8 @@ fn enumerate_relations_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{BTreeMap, HashSet};
+    use crate::canonical_signature;
+    use std::collections::{BTreeMap, HashMap, HashSet};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
     use tm_exec::Fence;
@@ -1577,6 +1188,20 @@ mod tests {
             transactions: false,
             max_txns: 0,
         }
+    }
+
+    /// Walks one unit, counting each visited candidate's signature.
+    fn unit_census(
+        cfg: &SynthConfig,
+        unit: &WorkUnit,
+        n: usize,
+        symmetry: Symmetry,
+        census: &mut BTreeMap<String, usize>,
+    ) -> ReducedCount {
+        let mut sink = |e: &Execution, _: &Delta, _: u64| {
+            *census.entry(e.signature()).or_default() += 1;
+        };
+        enumerate_unit(cfg, unit, n, symmetry, &mut sink, || false)
     }
 
     #[test]
@@ -1661,16 +1286,6 @@ mod tests {
     }
 
     #[test]
-    fn enumerate_all_sums_sizes() {
-        let mut cfg = tiny_config();
-        cfg.max_events = 3;
-        let two = enumerate_exact(&cfg, 2, |_| {});
-        let three = enumerate_exact(&cfg, 3, |_| {});
-        let all = enumerate_all(&cfg, |_| {});
-        assert_eq!(all, two + three);
-    }
-
-    #[test]
     fn dependencies_and_rmws_appear_when_enabled() {
         let mut cfg = tiny_config();
         cfg.dependencies = true;
@@ -1689,8 +1304,10 @@ mod tests {
         assert!(saw_rmw.load(Ordering::Relaxed));
     }
 
-    /// The parallel direct-assembly pipeline must visit exactly the multiset
-    /// of executions the builder-based reference enumerator visits.
+    /// The in-place walker on the pool must visit exactly the multiset of
+    /// executions the builder-based reference enumerator visits (full
+    /// mode), and under symmetry reduction exactly one of them per
+    /// isomorphism class, weighted by the class size.
     #[test]
     fn pipeline_matches_reference() {
         let configs = [
@@ -1709,74 +1326,66 @@ mod tests {
                 cfg.dependencies = true;
                 cfg
             },
+            // The realistic spaces: three threads and locations, fences,
+            // dependencies, RMWs, transactions and access annotations.
+            SynthConfig::x86(3),
+            SynthConfig::power(3),
+            SynthConfig::armv8(3),
         ];
         for cfg in configs {
             for n in 2..=cfg.max_events {
                 let mut reference: BTreeMap<String, usize> = BTreeMap::new();
+                let mut classes: HashMap<crate::CanonSig, u64> = HashMap::new();
                 let ref_count = enumerate_exact_reference(&cfg, n, |exec| {
                     *reference.entry(exec.signature()).or_default() += 1;
+                    *classes.entry(canonical_signature(exec)).or_default() += 1;
                 });
-                let parallel: Mutex<BTreeMap<String, usize>> = Mutex::new(BTreeMap::new());
-                let par_count = enumerate_exact(&cfg, n, |exec| {
-                    *parallel
-                        .lock()
-                        .unwrap()
-                        .entry(exec.signature())
-                        .or_default() += 1;
-                });
-                assert_eq!(ref_count, par_count, "count mismatch at n={n}");
+
+                let full: Mutex<BTreeMap<String, usize>> = Mutex::new(BTreeMap::new());
+                let tally = enumerate(
+                    &cfg,
+                    n,
+                    Symmetry::Full,
+                    || {
+                        |exec: &Execution, _: &Delta, orbit: u64| {
+                            assert_eq!(orbit, 1, "full mode visits every candidate once");
+                            *full.lock().unwrap().entry(exec.signature()).or_default() += 1;
+                        }
+                    },
+                    || false,
+                );
+                assert_eq!(tally.representatives, ref_count, "count mismatch at n={n}");
+                assert_eq!(tally.weighted, ref_count as u64);
                 assert_eq!(
                     reference,
-                    parallel.into_inner().unwrap(),
+                    full.into_inner().unwrap(),
                     "signature multiset mismatch at n={n}"
                 );
-            }
-        }
-    }
 
-    /// The delta-threading pipeline must visit exactly the multiset of
-    /// executions the from-scratch pipeline visits.
-    #[test]
-    fn incremental_pipeline_matches_exact() {
-        let configs = [
-            {
-                let mut cfg = tiny_config();
-                cfg.max_events = 3;
-                cfg.transactions = true;
-                cfg.max_txns = 2;
-                cfg.rmws = true;
-                cfg
-            },
-            {
-                let mut cfg = tiny_config();
-                cfg.max_events = 3;
-                cfg.fences = vec![Fence::Sync];
-                cfg.dependencies = true;
-                cfg
-            },
-        ];
-        for cfg in configs {
-            for n in 2..=cfg.max_events {
-                let exact: Mutex<BTreeMap<String, usize>> = Mutex::new(BTreeMap::new());
-                let exact_count = enumerate_exact(&cfg, n, |exec| {
-                    *exact.lock().unwrap().entry(exec.signature()).or_default() += 1;
-                });
-                let incremental: Mutex<BTreeMap<String, usize>> = Mutex::new(BTreeMap::new());
-                let inc_count = enumerate_exact_incremental(&cfg, n, || {
-                    |exec: &Execution, _delta: &Delta| {
-                        *incremental
-                            .lock()
-                            .unwrap()
-                            .entry(exec.signature())
-                            .or_default() += 1;
-                    }
-                });
-                assert_eq!(exact_count, inc_count, "count mismatch at n={n}");
-                assert_eq!(
-                    exact.into_inner().unwrap(),
-                    incremental.into_inner().unwrap(),
-                    "signature multiset mismatch at n={n}"
+                let reps: Mutex<Vec<(String, crate::CanonSig, u64)>> = Mutex::new(Vec::new());
+                let tally = enumerate(
+                    &cfg,
+                    n,
+                    Symmetry::Reduced,
+                    || {
+                        |exec: &Execution, _: &Delta, orbit: u64| {
+                            let sigs = (exec.signature(), canonical_signature(exec));
+                            reps.lock().unwrap().push((sigs.0, sigs.1, orbit));
+                        }
+                    },
+                    || false,
                 );
+                let reps = reps.into_inner().unwrap();
+                assert_eq!(tally.representatives, reps.len());
+                assert_eq!(
+                    tally.weighted, ref_count as u64,
+                    "Σ orbit must re-cover the reference at n={n}"
+                );
+                assert_eq!(reps.len(), classes.len(), "one representative per class");
+                for (sig, class, orbit) in &reps {
+                    assert!(reference.contains_key(sig), "representative {sig} unseen");
+                    assert_eq!(classes.get(class), Some(orbit), "orbit of {sig}");
+                }
             }
         }
     }
@@ -1795,10 +1404,10 @@ mod tests {
         cfg.dependencies = true;
         use tm_exec::ir::DeltaMask;
         let checked = AtomicUsize::new(0);
-        enumerate_exact_incremental(&cfg, 3, || {
+        let make_sink = || {
             let mut prev: Option<Execution> = None;
             let checked = &checked;
-            move |exec: &Execution, delta: &Delta| {
+            move |exec: &Execution, delta: &Delta, _: u64| {
                 assert!(tm_exec::check_well_formed(exec).is_ok());
                 if let Some(prev) = prev.as_ref().filter(|_| !delta.is_full()) {
                     let families = [
@@ -1828,21 +1437,28 @@ mod tests {
                 prev = Some(exec.clone());
                 checked.fetch_add(1, Ordering::Relaxed);
             }
-        });
+        };
+        for symmetry in [Symmetry::Full, Symmetry::Reduced] {
+            enumerate(&cfg, 3, symmetry, make_sink, || false);
+        }
         assert!(checked.load(Ordering::Relaxed) > 100);
     }
 
-    /// The worker pool must produce the same result no matter how many
-    /// threads service the unit queue.
+    /// The worker pool must produce the same tally, kill counters included,
+    /// no matter how many threads service the unit queue.
     #[test]
     fn counts_are_thread_count_independent() {
         let mut cfg = tiny_config();
         cfg.max_events = 3;
         cfg.transactions = true;
         cfg.max_txns = 1;
-        let single = enumerate_exact_with_threads(&cfg, 3, 1, |_| {}, &|| false);
-        let multi = enumerate_exact_with_threads(&cfg, 3, 4, |_| {}, &|| false);
-        assert_eq!(single, multi);
+        let sink = || |_: &Execution, _: &Delta, _: u64| {};
+        for symmetry in [Symmetry::Full, Symmetry::Reduced] {
+            let single = enumerate_on(1, &cfg, 3, symmetry, &sink, &|| false);
+            let multi = enumerate_on(4, &cfg, 3, symmetry, &sink, &|| false);
+            assert!(single.representatives > 0);
+            assert_eq!(single, multi, "{symmetry:?}");
+        }
     }
 
     /// The cooperative stop hook must actually cut the sweep short rather
@@ -1853,35 +1469,28 @@ mod tests {
         cfg.max_events = 3;
         cfg.transactions = true;
         cfg.max_txns = 2;
-        let full = enumerate_exact(&cfg, 3, |_| {});
+        for symmetry in [Symmetry::Full, Symmetry::Reduced] {
+            let noop = || |_: &Execution, _: &Delta, _: u64| {};
+            let full = enumerate(&cfg, 3, symmetry, noop, || false);
 
-        let seen = AtomicUsize::new(0);
-        let visited = enumerate_exact_until(
-            &cfg,
-            3,
-            |_| {
-                seen.fetch_add(1, Ordering::Relaxed);
-            },
-            || seen.load(Ordering::Relaxed) >= 10,
-        );
-        assert!(visited < full, "stop hook did not halt ({visited}/{full})");
-
-        let seen = AtomicUsize::new(0);
-        let visited = enumerate_exact_incremental_until(
-            &cfg,
-            3,
-            || {
+            let seen = AtomicUsize::new(0);
+            let counting = || {
                 let seen = &seen;
-                move |_: &Execution, _: &Delta| {
+                move |_: &Execution, _: &Delta, _: u64| {
                     seen.fetch_add(1, Ordering::Relaxed);
                 }
-            },
-            || seen.load(Ordering::Relaxed) >= 10,
-        );
-        assert!(visited < full, "incremental stop hook did not halt");
-
-        // A never-firing hook visits everything.
-        assert_eq!(enumerate_exact_until(&cfg, 3, |_| {}, || false), full);
+            };
+            let stopped = enumerate(&cfg, 3, symmetry, counting, || {
+                seen.load(Ordering::Relaxed) >= 10
+            });
+            assert!(
+                stopped.representatives < full.representatives,
+                "{symmetry:?}: stop hook did not halt ({}/{})",
+                stopped.representatives,
+                full.representatives
+            );
+            assert_eq!(stopped.representatives, seen.load(Ordering::Relaxed));
+        }
     }
 
     /// Splitting a unit must partition its candidate multiset exactly: the
@@ -1896,7 +1505,7 @@ mod tests {
         cfg.fences = vec![Fence::Sync];
         let n = 3;
         for symmetry in [Symmetry::Full, Symmetry::Reduced] {
-            for unit in produce_units(&cfg, n, symmetry) {
+            for unit in work_units(&cfg, n, symmetry) {
                 assert!(unit.splittable(n), "test depth leaves one digit");
                 let children = unit.split(&cfg, n, symmetry);
                 assert!(!children.is_empty());
@@ -1909,68 +1518,19 @@ mod tests {
                 // Grandchildren of a full-depth child: none.
                 assert!(children[0].split(&cfg, n, symmetry).is_empty());
 
-                let mut parent: BTreeMap<String, usize> = BTreeMap::new();
-                let mut parent_tally = ReducedCount::default();
+                let mut parent = BTreeMap::new();
+                let parent_tally = unit_census(&cfg, &unit, n, symmetry, &mut parent);
+                let mut union = BTreeMap::new();
                 let mut child_tally = ReducedCount::default();
-                match symmetry {
-                    Symmetry::Full => {
-                        enumerate_unit_incremental(
-                            &cfg,
-                            &unit,
-                            n,
-                            &mut |e: &Execution, _: &Delta| {
-                                *parent.entry(e.signature()).or_default() += 1;
-                            },
-                            || false,
-                        );
-                    }
-                    Symmetry::Reduced => {
-                        parent_tally = enumerate_unit_reduced(
-                            &cfg,
-                            &unit,
-                            n,
-                            &mut |e: &Execution, _: &Delta, _| {
-                                *parent.entry(e.signature()).or_default() += 1;
-                            },
-                            || false,
-                        );
-                    }
-                }
-                let mut union: BTreeMap<String, usize> = BTreeMap::new();
                 for child in &children {
-                    match symmetry {
-                        Symmetry::Full => {
-                            enumerate_unit_incremental(
-                                &cfg,
-                                child,
-                                n,
-                                &mut |e: &Execution, _: &Delta| {
-                                    *union.entry(e.signature()).or_default() += 1;
-                                },
-                                || false,
-                            );
-                        }
-                        Symmetry::Reduced => {
-                            child_tally.add(enumerate_unit_reduced(
-                                &cfg,
-                                child,
-                                n,
-                                &mut |e: &Execution, _: &Delta, _| {
-                                    *union.entry(e.signature()).or_default() += 1;
-                                },
-                                || false,
-                            ));
-                        }
-                    }
+                    child_tally.add(unit_census(&cfg, child, n, symmetry, &mut union));
                 }
                 assert_eq!(parent, union, "children must cover the parent exactly");
-                if symmetry.is_reduced() {
-                    assert_eq!(parent_tally.representatives, child_tally.representatives);
-                    assert_eq!(
-                        parent_tally.weighted, child_tally.weighted,
-                        "orbit-weighted counts must survive splitting"
-                    );
-                }
+                assert_eq!(parent_tally.representatives, child_tally.representatives);
+                assert_eq!(
+                    parent_tally.weighted, child_tally.weighted,
+                    "orbit-weighted counts must survive splitting"
+                );
             }
         }
     }
@@ -1988,15 +1548,10 @@ mod tests {
         let n = 3;
         let mut total_weight = 0u64;
         let mut total_visited = 0usize;
-        for unit in produce_units(&cfg, n, Symmetry::Full) {
+        for unit in work_units(&cfg, n, Symmetry::Full) {
             let weight = unit.weight(&cfg, n);
-            let visited = enumerate_unit_incremental(
-                &cfg,
-                &unit,
-                n,
-                &mut |_: &Execution, _: &Delta| {},
-                || false,
-            );
+            let visited =
+                unit_census(&cfg, &unit, n, Symmetry::Full, &mut BTreeMap::new()).representatives;
             assert!(
                 weight >= visited as u64,
                 "weight {weight} under-estimates {visited} for {}",

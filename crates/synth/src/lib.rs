@@ -7,8 +7,11 @@
 //! suites; the explicit search pays in time instead, which is why it runs
 //! at smaller bounds than the paper's 6–7 events. It provides:
 //!
-//! * [`enumerate_exact`] / [`enumerate_all`] — enumeration of every
-//!   well-formed candidate execution within a [`SynthConfig`] bound;
+//! * [`enumerate`] — enumeration of every well-formed candidate execution
+//!   within a [`SynthConfig`] bound: one in-place walker
+//!   ([`enumerate_unit`], over the [`work_units`] of the space) on one
+//!   pool of scoped worker threads, in full or symmetry-reduced mode, with
+//!   [`enumerate_exact`] as the full-mode convenience;
 //! * [`weakenings`] — the ⊏ execution-weakening order of §4.2 (event
 //!   removal, dependency removal, annotation downgrade, transaction shrink);
 //! * [`synthesise_suites`] — the Forbid (minimally-forbidden) and Allow
@@ -49,15 +52,12 @@ mod weaken;
 pub use canon::{canonical_signature, CanonSig};
 pub use config::SynthConfig;
 pub use enumerate::{
-    enumerate_all, enumerate_exact, enumerate_exact_incremental, enumerate_exact_incremental_until,
-    enumerate_exact_reference, enumerate_exact_until, enumerate_reduced,
-    enumerate_reduced_incremental, enumerate_reduced_incremental_until, enumerate_reduced_until,
-    enumerate_unit_incremental, enumerate_unit_reduced, split_unit, unit_weight, work_units,
-    WorkUnit,
+    enumerate, enumerate_exact, enumerate_exact_reference, enumerate_unit, work_units,
+    worker_count, WorkUnit,
 };
 pub use suite::{
-    assemble_suites, find_distinguishing, minimal_under_weakenings, synthesise_suites,
-    synthesise_suites_per_execution, synthesise_suites_with, SuiteReport, SynthesisedTest,
+    assemble_suites, find_distinguishing, synthesise_suites, synthesise_suites_per_execution,
+    synthesise_suites_with, ForbidFilter, SuiteReport, SynthesisedTest,
 };
 pub use symmetry::{labelled_orbit, ReducedCount, Symmetry};
 pub use weaken::{

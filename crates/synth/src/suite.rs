@@ -1,11 +1,11 @@
 //! Synthesis of Forbid and Allow conformance suites (§4.2, Table 1).
 //!
-//! The default [`synthesise_suites`] pipeline is **delta-driven**: the
-//! enumerator mutates one execution per worker in place, each worker's
-//! stateful [`DeltaChecker`] pair absorbs the edge deltas, and the
-//! ⊏-minimality walk probes each weakening as a removal delta bracketed by
-//! checker savepoint/rollback — no per-candidate views, no cloned
-//! weakenings on the hot path. Two wrinkles the port had to handle:
+//! The [`synthesise_suites`] pipeline is **delta-driven**: the enumerator
+//! mutates one execution per worker in place, each worker's stateful
+//! checker pair absorbs the edge deltas, and the ⊏-minimality walk probes
+//! each weakening as a removal delta bracketed by checker
+//! savepoint/rollback — no per-candidate views, no cloned weakenings on the
+//! hot path. Two wrinkles the port had to handle:
 //!
 //! * the transaction-free early-out must still *thread the delta* (advance
 //!   the checkers) before skipping, or their cached state would drift from
@@ -15,6 +15,11 @@
 //!   apply/undo on a reusable probe buffer (event removals, which change
 //!   the universe, are probed as full-delta resets under the same
 //!   savepoint).
+//!
+//! [`ForbidFilter`] is that predicate, written once for
+//! [`synthesise_suites_with`] and the checkpointed sweep runner
+//! (`tm-sweep`). A model without an incremental checker is driven through
+//! [`delta_checker`]'s from-scratch adapter on the same path.
 //!
 //! The pre-incremental pipeline is kept as
 //! [`synthesise_suites_per_execution`] — the parity oracle and the "before"
@@ -29,13 +34,12 @@ use tm_exec::ir::Delta;
 use tm_exec::{check_well_formed, ExecView, Execution};
 use tm_litmus::{from_execution, Expectation, LitmusTest};
 use tm_models::ir::IncrementalChecker;
-use tm_models::{DeltaChecker, MemoryModel, Target};
+use tm_models::{delta_checker, CheckerTelemetry, DeltaChecker, MemoryModel, Target};
 
 use crate::weaken::{probe_edit_script, weakening_edits, Weakening};
 use crate::{
-    canonical_signature, enumerate_exact, enumerate_exact_incremental,
-    enumerate_exact_incremental_until, enumerate_exact_until, enumerate_reduced_incremental,
-    weakenings, weakenings_with_signatures, CanonSig, Symmetry, SynthConfig,
+    canonical_signature, enumerate, enumerate_exact_reference, weakenings,
+    weakenings_with_signatures, CanonSig, Symmetry, SynthConfig,
 };
 
 /// One synthesised conformance test.
@@ -92,13 +96,11 @@ impl SuiteReport {
 }
 
 /// A worker-local accumulator of Forbid candidates: findings collect in an
-/// unlocked local vector (plus a local signature filter) and merge into the
-/// shared vector exactly once, when the worker's sink is dropped at the end
-/// of the sweep — the shared mutex is touched once per worker, not once per
-/// candidate.
+/// unlocked local vector and merge into the shared vector exactly once,
+/// when the worker's sink is dropped at the end of the sweep — the shared
+/// mutex is touched once per worker, not once per candidate.
 struct WorkerFinds<'a> {
     local: Vec<(CanonSig, Execution, Duration)>,
-    seen: HashSet<CanonSig>,
     out: &'a Mutex<Vec<(CanonSig, Execution, Duration)>>,
 }
 
@@ -106,7 +108,6 @@ impl<'a> WorkerFinds<'a> {
     fn new(out: &'a Mutex<Vec<(CanonSig, Execution, Duration)>>) -> WorkerFinds<'a> {
         WorkerFinds {
             local: Vec::new(),
-            seen: HashSet::new(),
             out,
         }
     }
@@ -118,6 +119,20 @@ impl Drop for WorkerFinds<'_> {
     }
 }
 
+/// Whether `exec` is consistent under one built-in target of a shared
+/// catalog checker (with the §8.3 `CROrder` axiom when the flag is set).
+fn catalog_consistent(
+    checker: &mut IncrementalChecker,
+    exec: &Execution,
+    (target, cr_order): (Target, bool),
+) -> bool {
+    if cr_order {
+        checker.is_consistent_with_cr_order(exec, target)
+    } else {
+        checker.is_consistent(exec, target)
+    }
+}
+
 /// One target's face on a *shared* catalog checker: when both models of a
 /// suite are built-in, a single [`IncrementalChecker`] absorbs each delta
 /// once and serves every target's axioms from the same shared-pool state;
@@ -125,8 +140,7 @@ impl Drop for WorkerFinds<'_> {
 /// common [`DeltaChecker`] interface.
 struct CatalogProbe<'c> {
     checker: &'c mut IncrementalChecker,
-    target: Target,
-    cr_order: bool,
+    target: (Target, bool),
 }
 
 impl DeltaChecker for CatalogProbe<'_> {
@@ -135,11 +149,7 @@ impl DeltaChecker for CatalogProbe<'_> {
     }
 
     fn is_consistent(&mut self, exec: &Execution) -> bool {
-        if self.cr_order {
-            self.checker.is_consistent_with_cr_order(exec, self.target)
-        } else {
-            self.checker.is_consistent(exec, self.target)
-        }
+        catalog_consistent(self.checker, exec, self.target)
     }
 
     fn savepoint(&mut self) {
@@ -156,13 +166,7 @@ impl DeltaChecker for CatalogProbe<'_> {
 /// weakenings are applied to a reusable probe buffer and undone; every
 /// probe is bracketed by checker savepoint/rollback, so the checker's live
 /// state (which describes `exec`) survives untouched.
-///
-/// Public because the checkpointed sweep runner (`tm-sweep`) rebuilds the
-/// per-unit Forbid sink out of this probe plus [`enumerate_unit_incremental`]
-/// (see [`crate::enumerate_unit_incremental`]); keeping one implementation
-/// is what makes an interrupted-and-resumed sweep provably identical to
-/// this crate's [`synthesise_suites`].
-pub fn minimal_under_weakenings(
+fn minimal_under_weakenings(
     checker: &mut dyn DeltaChecker,
     exec: &Execution,
     probe_buf: &mut Option<Execution>,
@@ -200,6 +204,72 @@ pub fn minimal_under_weakenings(
     true
 }
 
+/// The Forbid predicate over a pair of stateful checkers, written once for
+/// [`synthesise_suites_with`] and the checkpointed sweep runner
+/// (`tm-sweep`): one implementation is what makes an interrupted-and-resumed
+/// sweep provably identical to [`synthesise_suites`].
+///
+/// Feed it every candidate of a walk, in order, with the walker's deltas
+/// (one filter per worker or per unit: a full delta opens every shape
+/// vector). Each model is driven through [`delta_checker`], so a model
+/// without an incremental checker is answered from scratch on the same
+/// path.
+pub struct ForbidFilter<'m> {
+    tm: Box<dyn DeltaChecker + 'm>,
+    baseline: Box<dyn DeltaChecker + 'm>,
+    seen: HashSet<CanonSig>,
+    probe_buf: Option<Execution>,
+}
+
+impl<'m> ForbidFilter<'m> {
+    /// A filter for Forbid tests of `tm_model` against `baseline`.
+    pub fn new(tm_model: &'m dyn MemoryModel, baseline: &'m dyn MemoryModel) -> ForbidFilter<'m> {
+        ForbidFilter {
+            tm: delta_checker(tm_model),
+            baseline: delta_checker(baseline),
+            seen: HashSet::new(),
+            probe_buf: None,
+        }
+    }
+
+    /// Advances both checkers by `delta`, then returns the canonical
+    /// signature of `exec` if it is a Forbid candidate: it has a
+    /// transaction, the TM model forbids it, the baseline allows it, this
+    /// filter has not tested its signature before, and every ⊏-weakening
+    /// is TM-consistent.
+    pub fn test(&mut self, exec: &Execution, delta: &Delta) -> Option<CanonSig> {
+        // Thread the delta *before* any early-out: a skipped candidate
+        // still moved the in-place execution, and the checkers' cached
+        // state must follow it.
+        self.tm.advance(exec, delta);
+        self.baseline.advance(exec, delta);
+        // Forbid tests distinguish the TM model from its baseline, so an
+        // execution with no transaction can never qualify (no stxn pair ⇔
+        // no transaction class — allocation-free, unlike materialising the
+        // classes).
+        if exec.stxn.is_empty() || self.tm.is_consistent(exec) || !self.baseline.is_consistent(exec)
+        {
+            return None;
+        }
+        let sig = canonical_signature(exec);
+        if !self.seen.insert(sig.clone()) {
+            return None;
+        }
+        minimal_under_weakenings(self.tm.as_mut(), exec, &mut self.probe_buf).then_some(sig)
+    }
+
+    /// Both checkers' telemetry, merged; `None` when neither keeps any.
+    pub fn telemetry(&self) -> Option<CheckerTelemetry> {
+        match (self.tm.telemetry(), self.baseline.telemetry()) {
+            (Some(mut a), Some(b)) => {
+                a.merge(b);
+                Some(a)
+            }
+            (one, other) => one.or(other),
+        }
+    }
+}
+
 /// Synthesises the Forbid and Allow suites for `tm_model` against
 /// `baseline`, enumerating executions with exactly `events` events.
 ///
@@ -214,12 +284,9 @@ pub fn minimal_under_weakenings(
 ///
 /// Tests are deduplicated up to thread and location renaming.
 ///
-/// When both models provide a [`DeltaChecker`] (all built-in models and
-/// runtime `.cat` models do), the sweep runs on the delta-threading
-/// enumeration with stateful checkers and savepoint-probed minimality
-/// walks; otherwise it falls back to per-execution views. Either way the
-/// result is identical to [`synthesise_suites_per_execution`], pinned by
-/// `tests/suite_parity.rs`.
+/// The sweep runs on the in-place walker with stateful checkers and
+/// savepoint-probed minimality walks. The result is identical to
+/// [`synthesise_suites_per_execution`], pinned by `tests/suite_parity.rs`.
 pub fn synthesise_suites(
     tm_model: &dyn MemoryModel,
     baseline: &dyn MemoryModel,
@@ -227,38 +294,6 @@ pub fn synthesise_suites(
     events: usize,
 ) -> SuiteReport {
     synthesise_suites_with(tm_model, baseline, config, events, Symmetry::Full)
-}
-
-/// Runs one of the suite sweep pipelines' sinks over either the full
-/// enumeration or the symmetry-reduced one. The suite logic never needs the
-/// orbit size per candidate — Forbid membership is invariant under
-/// thread/location renaming and tests are deduplicated by canonical
-/// signature anyway — so the reduced walker's orbit argument is dropped and
-/// only the aggregate tally is kept: `(visited, effective)` where
-/// `effective` is the orbit-weighted candidate count (equal to `visited`
-/// under [`Symmetry::Full`]).
-fn enumerate_for_suites<S>(
-    config: &SynthConfig,
-    events: usize,
-    symmetry: Symmetry,
-    make_sink: impl Fn() -> S + Sync,
-) -> (usize, u64)
-where
-    S: FnMut(&Execution, &Delta),
-{
-    match symmetry {
-        Symmetry::Full => {
-            let visited = enumerate_exact_incremental(config, events, make_sink);
-            (visited, visited as u64)
-        }
-        Symmetry::Reduced => {
-            let tally = enumerate_reduced_incremental(config, events, || {
-                let mut sink = make_sink();
-                move |exec: &Execution, delta: &Delta, _orbit: u64| sink(exec, delta)
-            });
-            (tally.representatives, tally.weighted)
-        }
-    }
 }
 
 /// [`synthesise_suites`] with an explicit [`Symmetry`] mode.
@@ -269,8 +304,9 @@ where
 /// ⊏-minimality — is invariant under renaming, and the suites are
 /// deduplicated by canonical signature regardless of mode, the resulting
 /// Forbid and Allow suites are **identical** to the full sweep's
-/// (`tests/symmetry_parity.rs` pins this); only `enumerated` shrinks to the
-/// representative count, with `effective` preserving the full-space total.
+/// (`tests/symmetry_parity.rs` pins this), so the sinks ignore the orbit
+/// size; only `enumerated` shrinks to the representative count, with
+/// `effective` preserving the full-space total.
 pub fn synthesise_suites_with(
     tm_model: &dyn MemoryModel,
     baseline: &dyn MemoryModel,
@@ -284,126 +320,70 @@ pub fn synthesise_suites_with(
     // interleaving.
     let found: Mutex<Vec<(CanonSig, Execution, Duration)>> = Mutex::new(Vec::new());
 
-    let catalog_pair = tm_model.catalog_target().zip(baseline.catalog_target());
-    let incremental =
-        tm_model.incremental_checker().is_some() && baseline.incremental_checker().is_some();
-    let (enumerated, effective) =
-        if let Some(((tm_target, tm_cr), (base_target, base_cr))) = catalog_pair {
-            // Both models are built-in: one shared-catalog checker absorbs each
-            // delta once and serves both targets (whose axiom bodies largely
-            // coincide as hash-consed nodes) from the same state.
-            enumerate_for_suites(config, events, symmetry, || {
+    let tally = match tm_model.catalog_target().zip(baseline.catalog_target()) {
+        // Both models are built-in: one shared-catalog checker absorbs each
+        // delta once and serves both targets (whose axiom bodies largely
+        // coincide as hash-consed nodes) from the same state. This is
+        // `ForbidFilter`'s predicate over one checker instead of two.
+        Some((tm_target, base_target)) => {
+            let make_sink = || {
                 let mut checker = IncrementalChecker::new();
+                let mut seen = HashSet::new();
                 let mut finds = WorkerFinds::new(&found);
                 let mut probe_buf: Option<Execution> = None;
-                move |exec: &Execution, delta: &Delta| {
+                move |exec: &Execution, delta: &Delta, _orbit: u64| {
                     checker.advance(exec, delta);
-                    if exec.stxn.is_empty() {
-                        return;
-                    }
-                    let tm_ok = if tm_cr {
-                        checker.is_consistent_with_cr_order(exec, tm_target)
-                    } else {
-                        checker.is_consistent(exec, tm_target)
-                    };
-                    if tm_ok {
-                        return;
-                    }
-                    let base_ok = if base_cr {
-                        checker.is_consistent_with_cr_order(exec, base_target)
-                    } else {
-                        checker.is_consistent(exec, base_target)
-                    };
-                    if !base_ok {
+                    if exec.stxn.is_empty()
+                        || catalog_consistent(&mut checker, exec, tm_target)
+                        || !catalog_consistent(&mut checker, exec, base_target)
+                    {
                         return;
                     }
                     let sig = canonical_signature(exec);
-                    if !finds.seen.insert(sig.clone()) {
+                    if !seen.insert(sig.clone()) {
                         return;
                     }
                     let mut probe = CatalogProbe {
                         checker: &mut checker,
                         target: tm_target,
-                        cr_order: tm_cr,
                     };
-                    if !minimal_under_weakenings(&mut probe, exec, &mut probe_buf) {
-                        return;
+                    if minimal_under_weakenings(&mut probe, exec, &mut probe_buf) {
+                        finds.local.push((sig, exec.clone(), start.elapsed()));
                     }
-                    finds.local.push((sig, exec.clone(), start.elapsed()));
                 }
-            })
-        } else if incremental {
-            enumerate_for_suites(config, events, symmetry, || {
-                let mut tm_checker = tm_model.incremental_checker().expect("probed above");
-                let mut base_checker = baseline.incremental_checker().expect("probed above");
+            };
+            enumerate(config, events, symmetry, make_sink, || false)
+        }
+        None => {
+            let make_sink = || {
+                let mut filter = ForbidFilter::new(tm_model, baseline);
                 let mut finds = WorkerFinds::new(&found);
-                let mut probe_buf: Option<Execution> = None;
-                move |exec: &Execution, delta: &Delta| {
-                    // Thread the delta *before* any early-out: a skipped
-                    // candidate still moved the in-place execution, and the
-                    // checkers' cached state must follow it.
-                    tm_checker.advance(exec, delta);
-                    base_checker.advance(exec, delta);
-                    // Forbid tests distinguish the TM model from its baseline,
-                    // so an execution with no transaction can never qualify
-                    // (no stxn pair ⇔ no transaction class — allocation-free,
-                    // unlike materialising the classes).
-                    if exec.stxn.is_empty() {
-                        return;
+                move |exec: &Execution, delta: &Delta, _orbit: u64| {
+                    if let Some(sig) = filter.test(exec, delta) {
+                        finds.local.push((sig, exec.clone(), start.elapsed()));
                     }
-                    if tm_checker.is_consistent(exec) || !base_checker.is_consistent(exec) {
-                        return;
-                    }
-                    let sig = canonical_signature(exec);
-                    if !finds.seen.insert(sig.clone()) {
-                        return;
-                    }
-                    if !minimal_under_weakenings(tm_checker.as_mut(), exec, &mut probe_buf) {
-                        return;
-                    }
-                    finds.local.push((sig, exec.clone(), start.elapsed()));
                 }
-            })
-        } else {
-            // View-based fallback for models without incremental checkers —
-            // still per-worker sinks, so the shared mutex stays cold.
-            enumerate_for_suites(config, events, symmetry, || {
-                let mut finds = WorkerFinds::new(&found);
-                move |exec: &Execution, _delta: &Delta| {
-                    if exec.txn_classes().is_empty() {
-                        return;
-                    }
-                    let view = ExecView::new(exec);
-                    if tm_model.is_consistent_view(&view) || !baseline.is_consistent_view(&view) {
-                        return;
-                    }
-                    let sig = canonical_signature(exec);
-                    if !finds.seen.insert(sig.clone()) {
-                        return;
-                    }
-                    if !weakenings(exec).iter().all(|w| tm_model.is_consistent(w)) {
-                        return;
-                    }
-                    finds.local.push((sig, exec.clone(), start.elapsed()));
-                }
-            })
-        };
+            };
+            enumerate(config, events, symmetry, make_sink, || false)
+        }
+    };
 
     assemble_suites(
         tm_model,
         events,
-        enumerated,
-        effective,
+        tally.representatives,
+        tally.weighted,
         found.into_inner().unwrap(),
         start,
     )
 }
 
-/// The pre-incremental suite pipeline, kept verbatim: per-execution views,
-/// cloned weakenings for the minimality walk, and globally locked
-/// deduplication inside the hot sink. It is the oracle `tests/suite_parity.rs`
-/// pins [`synthesise_suites`] against and the "before" configuration the
-/// benchmark harness measures.
+/// The pre-incremental suite pipeline: per-execution views and cloned
+/// weakenings for the minimality walk. It walks the builder-based
+/// [`enumerate_exact_reference`] on the calling thread, so it shares neither
+/// the in-place walker nor the worker pool with the pipelines it checks. It
+/// is the oracle `tests/suite_parity.rs` pins [`synthesise_suites`] against
+/// and the "before" configuration the benchmark harness measures.
 pub fn synthesise_suites_per_execution(
     tm_model: &dyn MemoryModel,
     baseline: &dyn MemoryModel,
@@ -411,10 +391,10 @@ pub fn synthesise_suites_per_execution(
     events: usize,
 ) -> SuiteReport {
     let start = Instant::now();
-    let found: Mutex<Vec<(CanonSig, Execution, Duration)>> = Mutex::new(Vec::new());
-    let seen: Mutex<HashSet<CanonSig>> = Mutex::new(HashSet::new());
+    let mut found: Vec<(CanonSig, Execution, Duration)> = Vec::new();
+    let mut seen: HashSet<CanonSig> = HashSet::new();
 
-    let enumerated = enumerate_exact(config, events, |exec| {
+    let enumerated = enumerate_exact_reference(config, events, |exec| {
         if exec.txn_classes().is_empty() {
             return;
         }
@@ -429,13 +409,9 @@ pub fn synthesise_suites_per_execution(
             return;
         }
         let sig = canonical_signature(exec);
-        if !seen.lock().unwrap().insert(sig.clone()) {
-            return;
+        if seen.insert(sig.clone()) {
+            found.push((sig, exec.clone(), start.elapsed()));
         }
-        found
-            .lock()
-            .unwrap()
-            .push((sig, exec.clone(), start.elapsed()));
     });
 
     assemble_suites(
@@ -443,7 +419,7 @@ pub fn synthesise_suites_per_execution(
         events,
         enumerated,
         enumerated as u64,
-        found.into_inner().unwrap(),
+        found,
         start,
     )
 }
@@ -537,93 +513,38 @@ pub fn assemble_suites(
 /// The first witness found **stops the sweep**: the enumeration polls a
 /// cooperative stop hook between work units and shape vectors, so workers
 /// halt instead of enumerating the rest of the space with a dead sink.
-/// When both models provide a [`DeltaChecker`], candidates are checked
-/// through per-worker stateful checkers on the delta-threading enumeration.
+/// Candidates are checked through one [`delta_checker`] per model and
+/// worker on the in-place walker.
 pub fn find_distinguishing(
     stronger: &dyn MemoryModel,
     weaker: &dyn MemoryModel,
     config: &SynthConfig,
 ) -> Option<Execution> {
-    let catalog_pair = stronger.catalog_target().zip(weaker.catalog_target());
-    let incremental =
-        stronger.incremental_checker().is_some() && weaker.incremental_checker().is_some();
     for n in 2..=config.max_events {
         let done = AtomicBool::new(false);
         let found: Mutex<Option<Execution>> = Mutex::new(None);
-        if let Some(((strong_target, strong_cr), (weak_target, weak_cr))) = catalog_pair {
-            enumerate_exact_incremental_until(
-                config,
-                n,
-                || {
-                    let mut checker = IncrementalChecker::new();
-                    let (done, found) = (&done, &found);
-                    move |exec: &Execution, delta: &Delta| {
-                        checker.advance(exec, delta);
-                        if done.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let strong_ok = if strong_cr {
-                            checker.is_consistent_with_cr_order(exec, strong_target)
-                        } else {
-                            checker.is_consistent(exec, strong_target)
-                        };
-                        if strong_ok {
-                            return;
-                        }
-                        let weak_ok = if weak_cr {
-                            checker.is_consistent_with_cr_order(exec, weak_target)
-                        } else {
-                            checker.is_consistent(exec, weak_target)
-                        };
-                        if weak_ok {
-                            done.store(true, Ordering::Relaxed);
-                            found.lock().unwrap().get_or_insert_with(|| exec.clone());
-                        }
-                    }
-                },
-                || done.load(Ordering::Relaxed),
-            );
-        } else if incremental {
-            enumerate_exact_incremental_until(
-                config,
-                n,
-                || {
-                    let mut strong_checker = stronger.incremental_checker().expect("probed above");
-                    let mut weak_checker = weaker.incremental_checker().expect("probed above");
-                    let (done, found) = (&done, &found);
-                    move |exec: &Execution, delta: &Delta| {
-                        // Keep the cached state coherent even while the
-                        // sweep drains after a witness was found.
-                        strong_checker.advance(exec, delta);
-                        weak_checker.advance(exec, delta);
-                        if done.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        if !strong_checker.is_consistent(exec) && weak_checker.is_consistent(exec) {
-                            done.store(true, Ordering::Relaxed);
-                            found.lock().unwrap().get_or_insert_with(|| exec.clone());
-                        }
-                    }
-                },
-                || done.load(Ordering::Relaxed),
-            );
-        } else {
-            enumerate_exact_until(
-                config,
-                n,
-                |exec| {
-                    if done.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let view = ExecView::new(exec);
-                    if !stronger.is_consistent_view(&view) && weaker.is_consistent_view(&view) {
-                        done.store(true, Ordering::Relaxed);
-                        found.lock().unwrap().get_or_insert_with(|| exec.clone());
-                    }
-                },
-                || done.load(Ordering::Relaxed),
-            );
-        }
+        let stop = || done.load(Ordering::Relaxed);
+        let report = |exec: &Execution| {
+            done.store(true, Ordering::Relaxed);
+            found.lock().unwrap().get_or_insert_with(|| exec.clone());
+        };
+        let make_sink = || {
+            let mut strong_checker = delta_checker(stronger);
+            let mut weak_checker = delta_checker(weaker);
+            move |exec: &Execution, delta: &Delta, _: u64| {
+                // Keep the cached state coherent even while the sweep drains
+                // after a witness was found.
+                strong_checker.advance(exec, delta);
+                weak_checker.advance(exec, delta);
+                if !stop()
+                    && !strong_checker.is_consistent(exec)
+                    && weak_checker.is_consistent(exec)
+                {
+                    report(exec);
+                }
+            }
+        };
+        enumerate(config, n, Symmetry::Full, make_sink, stop);
         let found = found.into_inner().unwrap();
         if found.is_some() {
             return found;

@@ -98,7 +98,7 @@ pub fn undo_weakening_edits(exec: &mut Execution, edits: &[WeakeningEdit]) {
 /// `None` when `admit` refused the edited execution, which was then never
 /// shown to the checker.
 ///
-/// The ⊏-minimality walk ([`crate::minimal_under_weakenings`]) admits only
+/// The ⊏-minimality walk of [`crate::ForbidFilter`] admits only
 /// well-formed weakenings; callers whose edits always keep an execution
 /// well-formed admit everything.
 pub fn probe_edit_script(

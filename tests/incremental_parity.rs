@@ -10,8 +10,8 @@
 //!
 //! * on **random edge-addition/removal walks** over the whole named-execution
 //!   catalog, covering every editable base relation;
-//! * **exhaustively**, driven by the delta-threading enumeration
-//!   (`enumerate_exact_incremental`) at the same bounds `ir_parity.rs` uses
+//! * **exhaustively**, driven by the in-place walker's deltas
+//!   (`enumerate`, full mode) at the same bounds `ir_parity.rs` uses
 //!   for the view-based paths — the x86-trimmed space at |E| ≤ 4 plus the
 //!   richer Power and C++ vocabularies at |E| ≤ 3.
 //!
@@ -28,7 +28,7 @@ use tm_weak_memory::exec::ir::{Delta, RelBase};
 use tm_weak_memory::exec::{catalog, ExecView, Execution};
 use tm_weak_memory::models::ir::IncrementalChecker;
 use tm_weak_memory::models::{MemoryModel, Target};
-use tm_weak_memory::synth::{enumerate_exact_incremental, SynthConfig};
+use tm_weak_memory::synth::{enumerate, Symmetry, SynthConfig};
 
 /// A split-mix style generator: deterministic, dependency-free.
 struct Rng(u64);
@@ -200,12 +200,12 @@ fn incremental_matches_scratch_on_addition_only_walks() {
 fn exhaustive_incremental_parity(cfg: &SynthConfig, bound: usize) -> usize {
     let checked = AtomicUsize::new(0);
     for n in 2..=bound {
-        enumerate_exact_incremental(cfg, n, || {
+        let make_sink = || {
             let mut checker = IncrementalChecker::new();
             let models: Vec<(Target, Box<dyn MemoryModel>)> =
                 Target::ALL.iter().map(|&t| (t, t.model())).collect();
             let checked = &checked;
-            move |exec: &Execution, delta: &Delta| {
+            move |exec: &Execution, delta: &Delta, _: u64| {
                 checker.advance(exec, delta);
                 let view = ExecView::new(exec);
                 for (target, model) in &models {
@@ -222,7 +222,8 @@ fn exhaustive_incremental_parity(cfg: &SynthConfig, bound: usize) -> usize {
                 );
                 checked.fetch_add(1, Ordering::Relaxed);
             }
-        });
+        };
+        enumerate(cfg, n, Symmetry::Full, make_sink, || false);
     }
     checked.into_inner()
 }

@@ -6,13 +6,11 @@
 //! reduction as an edit script under a checker savepoint, compilation asks
 //! the C++ TM checker first, and the theorems check a mirror of each
 //! candidate whose `stxnat` follows `stxn`. The oracles below restate the
-//! previous implementation: fresh `ExecView`s on every candidate of
-//! `enumerate_exact`, and cloned reductions. For every check that holds,
+//! previous implementation: fresh `ExecView`s on every candidate of the
+//! builder-based `enumerate_exact_reference`, and cloned reductions. For every check that holds,
 //! verdict and work count must agree exactly; for the Power and ARMv8
 //! monotonicity counterexamples, the reported pair is re-verified from
 //! scratch.
-
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use tm_weak_memory::exec::ir::Delta;
 use tm_weak_memory::exec::{Annot, ExecView, Execution};
@@ -25,7 +23,7 @@ use tm_weak_memory::models::{
     isolation, Armv8Model, CppModel, MemoryModel, PowerModel, ScModel, X86Model,
 };
 use tm_weak_memory::synth::{
-    apply_weakening_edits, enumerate_exact, undo_weakening_edits, SynthConfig,
+    apply_weakening_edits, enumerate_exact_reference, undo_weakening_edits, SynthConfig,
 };
 
 /// The C++ space of the monotonicity unit test and `tests/paper_claims.rs`:
@@ -46,24 +44,24 @@ fn cpp_config_bench(bound: usize) -> SynthConfig {
 }
 
 /// Sums `visit` over every candidate with 2..=`max_events` events. Each
-/// visit returns its work count and whether it found a violation.
+/// visit returns its work count and whether it found a violation. The
+/// candidates come from the builder-based reference enumerator, not from
+/// the in-place walker the checks under test drive.
 fn sweep(
     config: &SynthConfig,
     max_events: usize,
-    visit: impl Fn(&Execution) -> (usize, bool) + Sync,
+    visit: impl Fn(&Execution) -> (usize, bool),
 ) -> (usize, bool) {
-    let count = AtomicUsize::new(0);
-    let violated = AtomicBool::new(false);
+    let mut count = 0;
+    let mut violated = false;
     for n in 2..=max_events {
-        enumerate_exact(config, n, |exec| {
+        enumerate_exact_reference(config, n, |exec| {
             let (k, v) = visit(exec);
-            count.fetch_add(k, Ordering::Relaxed);
-            if v {
-                violated.store(true, Ordering::Relaxed);
-            }
+            count += k;
+            violated |= v;
         });
     }
-    (count.into_inner(), violated.into_inner())
+    (count, violated)
 }
 
 /// The clone-based transaction reductions the edit scripts replaced.

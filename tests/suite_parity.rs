@@ -4,7 +4,8 @@
 //! [`synthesise_suites`] now runs on the delta-threading enumeration with
 //! stateful per-worker checkers and savepoint-probed ⊏-minimality walks;
 //! [`synthesise_suites_per_execution`] is the retained pre-incremental
-//! pipeline (fresh views, cloned weakenings, globally locked sinks). These
+//! pipeline (the single-threaded reference enumerator, fresh views, cloned
+//! weakenings), so it shares no walker with the pipelines it pins. These
 //! tests pin them to each other — identical Forbid and Allow sets (by
 //! canonical signature), identical transaction histograms, identical
 //! enumeration counts — on all five transactional models at small bounds,
@@ -12,15 +13,20 @@
 //! incremental engine never took the footprint-invalidation fallback on a
 //! maintainable monotone node while doing so (the removal deltas of the
 //! odometer walk and of every weakening probe are *maintained*, by
-//! counting-based deletion and DRed rederivation).
+//! counting-based deletion and DRed rederivation). A model without an
+//! incremental checker is pinned to its built-in twin through every
+//! pipeline that drives checkers: in-memory suites, the sweep runner's
+//! suites and counts, and the distinguishing-execution search.
 
 use tm_weak_memory::exec::ir::Delta;
-use tm_weak_memory::exec::Execution;
+use tm_weak_memory::exec::{ExecView, Execution};
 use tm_weak_memory::models::ir::IncrementalChecker;
-use tm_weak_memory::models::{Target, X86Model};
+use tm_weak_memory::models::{MemoryModel, Target, Verdict, X86Model};
+use tm_weak_memory::sweep::{run_sweep, SweepJob, SweepMode, SweepOptions, SweepOutcome};
 use tm_weak_memory::synth::{
-    canonical_signature, enumerate_exact_incremental, synthesise_suites,
-    synthesise_suites_per_execution, CanonSig, SuiteReport, SynthConfig,
+    canonical_signature, enumerate, find_distinguishing, synthesise_suites,
+    synthesise_suites_per_execution, synthesise_suites_with, CanonSig, SuiteReport, Symmetry,
+    SynthConfig,
 };
 
 fn signatures(report: &SuiteReport) -> (Vec<CanonSig>, Vec<CanonSig>) {
@@ -138,7 +144,7 @@ fn sweep_removal_deltas_never_invalidate_monotone_nodes() {
     let mut cfg = SynthConfig::x86(3);
     cfg.max_threads = 2;
     let totals = std::sync::Mutex::new((0u64, 0u64));
-    enumerate_exact_incremental(&cfg, 3, || {
+    let make_sink = || {
         let totals = &totals;
         let mut guard = scopeguard(move |checker: &IncrementalChecker| {
             let stats = checker.stats();
@@ -146,12 +152,13 @@ fn sweep_removal_deltas_never_invalidate_monotone_nodes() {
             totals.0 += stats.invalidated;
             totals.1 += stats.maintained;
         });
-        move |exec: &Execution, delta: &Delta| {
+        move |exec: &Execution, delta: &Delta, _: u64| {
             guard.value.advance(exec, delta);
             guard.value.is_consistent(exec, Target::X86Tm);
             guard.value.is_consistent(exec, Target::X86);
         }
-    });
+    };
+    enumerate(&cfg, 3, Symmetry::Full, make_sink, || false);
     let (invalidated, maintained) = *totals.lock().unwrap();
     assert_eq!(
         invalidated, 0,
@@ -180,5 +187,107 @@ fn scopeguard<F: FnMut(&IncrementalChecker)>(f: F) -> ScopeGuard<IncrementalChec
 impl<T, F: FnMut(&T)> Drop for ScopeGuard<T, F> {
     fn drop(&mut self) {
         (self.f)(&self.value);
+    }
+}
+
+/// A model that delegates to a built-in one but offers neither an
+/// incremental checker nor a shared-catalog target, so every pipeline
+/// drives it through `delta_checker`'s from-scratch adapter.
+struct ScratchOnly(Box<dyn MemoryModel>);
+
+impl MemoryModel for ScratchOnly {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn axioms(&self) -> Vec<&str> {
+        self.0.axioms()
+    }
+
+    fn check_view(&self, view: &ExecView<'_>) -> Verdict {
+        self.0.check_view(view)
+    }
+}
+
+/// Runs one checkpointed sweep of the full space in a fresh directory.
+fn sweep_once(
+    tag: &str,
+    model: &dyn MemoryModel,
+    baseline: &dyn MemoryModel,
+    mode: SweepMode,
+    config: &SynthConfig,
+    events: usize,
+) -> SweepOutcome {
+    let dir = std::env::temp_dir().join(format!("tm-suite-parity-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let job = SweepJob {
+        model,
+        baseline: Some(baseline),
+        reference: None,
+        mode,
+        config,
+        events,
+        symmetry: Symmetry::Full,
+    };
+    let outcome = run_sweep(&job, &SweepOptions::new(&dir)).expect("sweep runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    outcome
+}
+
+/// A model without an incremental checker takes the same checker path as
+/// its built-in twin, through the from-scratch adapter: the same suites
+/// (symmetry off and on, in memory and through the sweep runner), the same
+/// counts, and a distinguishing witness of the same size.
+#[test]
+fn models_without_an_incremental_checker_get_the_same_results() {
+    for (target, cfg, events) in [
+        (Target::X86Tm, SynthConfig::x86(3), 3),
+        (Target::PowerTm, SynthConfig::power(2), 2),
+    ] {
+        let (tm, base) = (target.model(), target.baseline().model());
+        let (tm, base) = (tm.as_ref(), base.as_ref());
+        let scratch_tm = ScratchOnly(target.model());
+        let scratch_base = ScratchOnly(target.baseline().model());
+        assert!(scratch_tm.incremental_checker().is_none());
+        assert!(scratch_tm.catalog_target().is_none());
+
+        for symmetry in [Symmetry::Full, Symmetry::Reduced] {
+            let fast = synthesise_suites_with(tm, base, &cfg, events, symmetry);
+            let slow = synthesise_suites_with(&scratch_tm, &scratch_base, &cfg, events, symmetry);
+            assert!(
+                !fast.forbid.is_empty(),
+                "{target}: the pin would be vacuous"
+            );
+            assert_eq!(
+                signatures(&slow),
+                signatures(&fast),
+                "{target} {symmetry:?}"
+            );
+            assert_eq!(
+                (slow.enumerated, slow.effective),
+                (fast.enumerated, fast.effective),
+                "{target} {symmetry:?}"
+            );
+            assert_eq!(slow.forbid_txn_histogram(), fast.forbid_txn_histogram());
+        }
+
+        for mode in [SweepMode::Suites, SweepMode::Counts] {
+            let fast = sweep_once("fast", tm, base, mode, &cfg, events);
+            let slow = sweep_once("slow", &scratch_tm, &scratch_base, mode, &cfg, events);
+            assert_eq!(
+                (slow.visited, slow.consistent, slow.weighted_visited),
+                (fast.visited, fast.consistent, fast.weighted_visited),
+                "{target} {mode:?}"
+            );
+            assert!(fast.checker.is_some() && slow.checker.is_none());
+            let suites = |o: &SweepOutcome| o.suites.as_ref().map(signatures);
+            assert_eq!(suites(&slow), suites(&fast), "{target} {mode:?}");
+        }
+
+        let fast = find_distinguishing(tm, base, &cfg).expect("the TM model is stronger");
+        let slow = find_distinguishing(&scratch_tm, &scratch_base, &cfg)
+            .expect("the from-scratch path finds a witness too");
+        assert!(!tm.is_consistent(&slow) && base.is_consistent(&slow));
+        assert_eq!(slow.len(), fast.len(), "{target}: smallest separating size");
     }
 }
