@@ -959,7 +959,7 @@ fn sweep_checkpointed(
     let job = SweepJob {
         model,
         baseline: baseline.map(|b| b as &dyn MemoryModel),
-        reference: reference.as_deref(),
+        reference: reference.as_ref().map(|r| r as &dyn MemoryModel),
         mode: if parsed.suites {
             SweepMode::Suites
         } else {
@@ -1231,7 +1231,7 @@ fn sweep_supervised(parsed: &SweepArgs) -> ExitCode {
     let job = SweepJob {
         model: &model,
         baseline: baseline.as_ref().map(|b| b as &dyn MemoryModel),
-        reference: reference.as_deref(),
+        reference: reference.as_ref().map(|r| r as &dyn MemoryModel),
         mode: if parsed.suites {
             SweepMode::Suites
         } else {

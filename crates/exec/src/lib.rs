@@ -41,6 +41,7 @@ mod builder;
 pub mod catalog;
 mod event;
 mod execution;
+pub mod hash;
 pub mod ir;
 mod view;
 mod wf;

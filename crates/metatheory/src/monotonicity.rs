@@ -260,7 +260,7 @@ mod tests {
 
     /// A model with no incremental checker: the check falls back to a
     /// from-scratch adapter.
-    struct ScratchOnly(Box<dyn MemoryModel>);
+    struct ScratchOnly(tm_models::IrModel);
 
     impl MemoryModel for ScratchOnly {
         fn name(&self) -> &str {
@@ -285,7 +285,7 @@ mod tests {
             let scratch = ScratchOnly(target.model());
             assert!(scratch.incremental_checker().is_none());
             let slow = check_monotonicity(&scratch, &cfg, events);
-            let fast = check_monotonicity(target.model().as_ref(), &cfg, events);
+            let fast = check_monotonicity(&target.model(), &cfg, events);
             assert_eq!(slow.holds(), fast.holds(), "{target}");
             if fast.holds() {
                 assert_eq!(slow.pairs_checked, fast.pairs_checked, "{target}");
@@ -350,7 +350,7 @@ mod tests {
         for target in [Target::X86, Target::PowerTm, Target::Armv8Tm] {
             let syn = syntactic_monotonicity(target);
             let cfg = SynthConfig::power(2);
-            let result = check_monotonicity(target.model().as_ref(), &cfg, 2);
+            let result = check_monotonicity(&target.model(), &cfg, 2);
             if syn.conclusive() {
                 assert!(
                     result.holds(),

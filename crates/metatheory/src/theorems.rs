@@ -86,8 +86,8 @@ fn check_theorem(
     let cpp = CppModel::tm();
     let search = Search::new();
     search.run(config, max_events, || {
-        let (search, cpp, hypothesis, conclusion) = (&search, &cpp, &hypothesis, &conclusion);
-        let mut checker = delta_checker(cpp);
+        let (search, hypothesis, conclusion) = (&search, &hypothesis, &conclusion);
+        let mut checker = delta_checker(&cpp);
         let mut mirror = Execution::with_events(Vec::new());
         move |exec: &Execution, delta: &Delta| {
             mirror.clone_from(exec);
@@ -104,9 +104,9 @@ fn check_theorem(
             }
             let view = ExecView::new(&mirror);
             if !hypothesis(&view)
-                || !cpp.atomic_txns_contain_no_atomics_view(&view)
+                || !isolation::atomic_txns_contain_no_atomics_view(&view)
                 || !checker.is_consistent(&mirror)
-                || cpp.is_racy_view(&view)
+                || !isolation::no_race_view(&view, true)
             {
                 return;
             }
@@ -161,7 +161,7 @@ mod tests {
         // TSC-consistent.
         let sb = tm_exec::catalog::sb();
         assert!(CppModel::tm().is_consistent(&sb));
-        assert!(CppModel::tm().is_racy(&sb));
+        assert!(!isolation::no_race(&sb, true));
         assert!(!ScModel::tsc().is_consistent(&sb));
     }
 }

@@ -1,14 +1,12 @@
 //! The C++ memory model (RC11 à la Lahav et al.) with the Transactional
 //! Memory technical-specification extension (Fig. 9, §7).
 
-use tm_exec::{ExecView, Execution, Fence};
-use tm_relation::{ElemSet, Relation};
-
-use crate::{MemoryModel, Verdict};
+use crate::ir::IrModel;
+use crate::Target;
 
 /// The C++ memory model, following the RC11 formulation of Lahav et al.
-/// (whose fix is what makes compilation to Power sound), extended — when
-/// `transactional` — with the paper's reformulated transactional
+/// (whose fix is what makes compilation to Power sound), extended — in
+/// [`CppModel::tm`] — with the paper's reformulated transactional
 /// synchronisation (§7.2):
 ///
 /// * `HbCom` — `irreflexive(hb ; com*)` where
@@ -19,9 +17,12 @@ use crate::{MemoryModel, Verdict};
 /// * `NoThinAir` — `acyclic(po ∪ rf)`;
 /// * `SeqCst` — `acyclic(psc)` over SC accesses and fences.
 ///
-/// The model also exposes the *race-freedom* predicate (`NoRace`) separately
-/// via [`CppModel::is_racy`]: a program with a racy consistent execution is
-/// undefined, and several theorems (7.2, 7.3) assume race freedom.
+/// The tables live in the shared catalog ([`crate::ir::catalog`]); this
+/// type only names their constructors. The *race-freedom* predicate
+/// (`NoRace`) is a separate catalog axiom, checked by
+/// [`crate::isolation::no_race`]: a program with a racy consistent
+/// execution is undefined, and several theorems (7.2, 7.3) assume race
+/// freedom.
 ///
 /// # Examples
 ///
@@ -34,247 +35,26 @@ use crate::{MemoryModel, Verdict};
 /// assert!(CppModel::baseline().is_consistent(&catalog::mp_txn()));
 /// assert!(!CppModel::tm().is_consistent(&catalog::mp_txn()));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CppModel {
-    transactional: bool,
-}
+pub enum CppModel {}
 
 impl CppModel {
     /// The non-transactional baseline (RC11).
-    pub fn baseline() -> CppModel {
-        CppModel {
-            transactional: false,
-        }
+    pub fn baseline() -> IrModel {
+        Target::Cpp.model()
     }
 
     /// The model with the TM extension.
-    pub fn tm() -> CppModel {
-        CppModel {
-            transactional: true,
-        }
-    }
-
-    /// True if the TM extension is enabled.
-    pub fn is_transactional(&self) -> bool {
-        self.transactional
-    }
-
-    /// The [`crate::Target`] whose axiom table this model checks.
-    fn target(&self) -> crate::Target {
-        if self.transactional {
-            crate::Target::CppTm
-        } else {
-            crate::Target::Cpp
-        }
-    }
-
-    /// The `Acq` set: acquire accesses plus acquire and seq_cst fences.
-    pub fn acq_set(&self, exec: &Execution) -> ElemSet {
-        self.acq_set_view(&ExecView::new(exec))
-    }
-
-    /// [`CppModel::acq_set`] over a memoized view.
-    pub fn acq_set_view(&self, view: &ExecView<'_>) -> ElemSet {
-        view.acquires()
-            .union(&view.fences_of(Fence::FenceAcq))
-            .union(&view.fences_of(Fence::FenceSc))
-    }
-
-    /// The `Rel` set: release accesses plus release and seq_cst fences.
-    pub fn rel_set(&self, exec: &Execution) -> ElemSet {
-        self.rel_set_view(&ExecView::new(exec))
-    }
-
-    /// [`CppModel::rel_set`] over a memoized view.
-    pub fn rel_set_view(&self, view: &ExecView<'_>) -> ElemSet {
-        view.releases()
-            .union(&view.fences_of(Fence::FenceRel))
-            .union(&view.fences_of(Fence::FenceSc))
-    }
-
-    /// The `SC` set: seq_cst accesses plus seq_cst fences.
-    pub fn sc_set(&self, exec: &Execution) -> ElemSet {
-        self.sc_set_view(&ExecView::new(exec))
-    }
-
-    /// [`CppModel::sc_set`] over a memoized view.
-    pub fn sc_set_view(&self, view: &ExecView<'_>) -> ElemSet {
-        view.sc_events().union(&view.fences_of(Fence::FenceSc))
-    }
-
-    /// The release sequence: `rs = [W] ; poloc? ; [W ∩ Ato] ; (rf ; rmw)*`.
-    pub fn release_sequence(&self, exec: &Execution) -> Relation {
-        self.release_sequence_view(&ExecView::new(exec))
-    }
-
-    /// [`CppModel::release_sequence`] over a memoized view.
-    pub fn release_sequence_view(&self, view: &ExecView<'_>) -> Relation {
-        let exec = view.exec();
-        let id_w_ato = Relation::identity_on(&view.writes().intersection(&view.atomics()));
-        view.id_writes()
-            .compose(&view.poloc().reflexive_closure())
-            .compose(&id_w_ato)
-            .compose(&exec.rf.compose(&exec.rmw).reflexive_transitive_closure())
-    }
-
-    /// The synchronises-with relation:
-    /// `sw = [Rel] ; ([F] ; po)? ; rs ; rf ; [R ∩ Ato] ; (po ; [F])? ; [Acq]`.
-    pub fn sw(&self, exec: &Execution) -> Relation {
-        self.sw_view(&ExecView::new(exec))
-    }
-
-    /// [`CppModel::sw`] over a memoized view.
-    pub fn sw_view(&self, view: &ExecView<'_>) -> Relation {
-        let exec = view.exec();
-        let id_rel = Relation::identity_on(&self.rel_set_view(view));
-        let id_acq = Relation::identity_on(&self.acq_set_view(view));
-        let id_fence = Relation::identity_on(&view.fences());
-        let id_r_ato = Relation::identity_on(&view.reads().intersection(&view.atomics()));
-        let fence_po = id_fence.compose(&exec.po).reflexive_closure();
-        let po_fence = exec.po.compose(&id_fence).reflexive_closure();
-        id_rel
-            .compose(&fence_po)
-            .compose(&self.release_sequence_view(view))
-            .compose(&exec.rf)
-            .compose(&id_r_ato)
-            .compose(&po_fence)
-            .compose(&id_acq)
-    }
-
-    /// Transactional synchronisation (§7.2): `tsw = weaklift(ecom, stxn)` —
-    /// conflicting transactions synchronise in extended-communication order.
-    pub fn tsw(&self, exec: &Execution) -> Relation {
-        self.tsw_view(&ExecView::new(exec))
-    }
-
-    /// [`CppModel::tsw`] over a memoized view.
-    pub fn tsw_view(&self, view: &ExecView<'_>) -> Relation {
-        Execution::weaklift(&view.ecom(), &view.exec().stxn)
-    }
-
-    /// Happens-before: `hb = (sw ∪ tsw ∪ po)+` (the `tsw` part only when the
-    /// TM extension is enabled).
-    pub fn hb(&self, exec: &Execution) -> Relation {
-        self.hb_view(&ExecView::new(exec))
-    }
-
-    /// [`CppModel::hb`] over a memoized view.
-    pub fn hb_view(&self, view: &ExecView<'_>) -> Relation {
-        let mut base = self.sw_view(view);
-        base.union_in_place(&view.exec().po);
-        if self.transactional {
-            base.union_in_place(&self.tsw_view(view));
-        }
-        base.transitive_closure_in_place();
-        base
-    }
-
-    /// The partial-SC relation used by the `SeqCst` axiom, following RC11.
-    pub fn psc(&self, exec: &Execution) -> Relation {
-        self.psc_view(&ExecView::new(exec))
-    }
-
-    /// [`CppModel::psc`] over a memoized view.
-    pub fn psc_view(&self, view: &ExecView<'_>) -> Relation {
-        let exec = view.exec();
-        let hb = self.hb_view(view);
-        let hb_q = hb.reflexive_closure();
-        let sc = self.sc_set_view(view);
-        let sc_fences = sc.intersection(&view.fences());
-        let id_sc = Relation::identity_on(&sc);
-        let id_f_sc = Relation::identity_on(&sc_fences);
-        let eco = view.com().transitive_closure();
-
-        // scb = po ∪ (po\loc ; hb ; po\loc) ∪ (hb ∩ sloc) ∪ co ∪ fr
-        let po_nl = view.po_diff_loc();
-        let mut scb = po_nl.compose(&hb).compose(&po_nl);
-        scb.union_in_place(&exec.po);
-        scb.union_in_place(&hb.intersection(&view.sloc()));
-        scb.union_in_place(&exec.co);
-        scb.union_in_place(&view.fr());
-
-        let left = id_sc.union(&id_f_sc.compose(&hb_q));
-        let right = id_sc.union(&hb_q.compose(&id_f_sc));
-        let mut psc = left.compose(&scb).compose(&right);
-        let psc_f = id_f_sc
-            .compose(&hb.union(&hb.compose(&eco).compose(&hb)))
-            .compose(&id_f_sc);
-        psc.union_in_place(&psc_f);
-        psc
-    }
-
-    /// The `NoRace` predicate of Fig. 9: true if the execution contains a
-    /// data race, i.e. two conflicting events, not both atomic, unordered by
-    /// happens-before. A program with a racy consistent execution has
-    /// undefined behaviour.
-    pub fn is_racy(&self, exec: &Execution) -> bool {
-        self.is_racy_view(&ExecView::new(exec))
-    }
-
-    /// [`CppModel::is_racy`] over a memoized view.
-    pub fn is_racy_view(&self, view: &ExecView<'_>) -> bool {
-        let hb = self.hb_view(view);
-        let ato = view.atomics();
-        let both_atomic = Relation::cross(&ato, &ato);
-        let mut races = view.cnf().into_owned();
-        races.difference_in_place(&both_atomic);
-        races.difference_in_place(&hb);
-        races.difference_in_place(&hb.inverse());
-        !races.is_empty()
-    }
-
-    /// True if every atomic transaction contains no atomic operation — the
-    /// syntactic restriction the C++ TM specification places on
-    /// `atomic { … }` blocks, and a hypothesis of Theorem 7.2.
-    pub fn atomic_txns_contain_no_atomics(&self, exec: &Execution) -> bool {
-        self.atomic_txns_contain_no_atomics_view(&ExecView::new(exec))
-    }
-
-    /// [`CppModel::atomic_txns_contain_no_atomics`] over a memoized view.
-    pub fn atomic_txns_contain_no_atomics_view(&self, view: &ExecView<'_>) -> bool {
-        view.exec()
-            .stxnat
-            .domain()
-            .is_disjoint_from(&view.atomics())
-    }
-}
-
-impl MemoryModel for CppModel {
-    fn name(&self) -> &str {
-        if self.transactional {
-            "C++(TM)"
-        } else {
-            "C++"
-        }
-    }
-
-    fn axioms(&self) -> Vec<&str> {
-        vec!["HbCom", "RMWIsol", "NoThinAir", "SeqCst"]
-    }
-
-    fn check_view(&self, view: &ExecView<'_>) -> Verdict {
-        crate::ir::check_table(crate::ir::catalog().model(self.target()), false, view)
-    }
-
-    fn is_consistent_view(&self, view: &ExecView<'_>) -> bool {
-        crate::ir::table_holds(crate::ir::catalog().model(self.target()), false, view)
-    }
-    fn catalog_target(&self) -> Option<(crate::Target, bool)> {
-        Some((self.target(), false))
-    }
-
-    fn incremental_checker(&self) -> Option<Box<dyn crate::DeltaChecker + '_>> {
-        Some(Box::new(crate::ir::TargetChecker::new(
-            self.target(),
-            false,
-        )))
+    pub fn tm() -> IrModel {
+        Target::CppTm.model()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_exec::{catalog, Annot, Event, ExecutionBuilder};
+    use crate::isolation::{atomic_txns_contain_no_atomics, no_race};
+    use crate::MemoryModel;
+    use tm_exec::{catalog, Annot, Event, Execution, ExecutionBuilder, Fence};
 
     /// MP with a release store of the flag and an acquire load of it.
     fn mp_rel_acq() -> Execution {
@@ -301,7 +81,7 @@ mod tests {
     fn relaxed_weak_behaviours_are_consistent_but_racy_when_non_atomic() {
         let m = CppModel::baseline();
         assert!(m.is_consistent(&catalog::mp()));
-        assert!(m.is_racy(&catalog::mp()));
+        assert!(!no_race(&catalog::mp(), false));
         assert!(m.is_consistent(&catalog::sb()));
     }
 
@@ -313,7 +93,7 @@ mod tests {
         assert!(verdict.violates("HbCom"), "{verdict}");
         // The synchronisation also removes the race on x.
         // (The read of x is hb-after the write of x via the sw edge.)
-        assert!(!m.is_racy(&e));
+        assert!(no_race(&e, false));
     }
 
     #[test]
@@ -375,8 +155,8 @@ mod tests {
         b.atomic_txn(&[wt]);
         b.co(wt, wa);
         let e = b.build().unwrap();
-        assert!(CppModel::tm().is_racy(&e));
-        assert!(CppModel::tm().atomic_txns_contain_no_atomics(&e));
+        assert!(!no_race(&e, true));
+        assert!(atomic_txns_contain_no_atomics(&e));
     }
 
     #[test]
@@ -385,7 +165,7 @@ mod tests {
         let w = b.push(Event::write(0, 0).with_annot(Annot::seq_cst()));
         b.atomic_txn(&[w]);
         let e = b.build().unwrap();
-        assert!(!CppModel::tm().atomic_txns_contain_no_atomics(&e));
+        assert!(!atomic_txns_contain_no_atomics(&e));
     }
 
     #[test]

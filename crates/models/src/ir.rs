@@ -9,19 +9,24 @@
 //! and the evaluator computes it once per execution however many models
 //! check it (see [`tm_exec::ir`]).
 //!
-//! The hand-written checks the models carried before this table existed
-//! have been retired after their one-release soak; `tests/ir_parity.rs`
-//! now pins the IR against its *enumeration oracles* instead — the memoized
-//! and recomputing views must agree, the full-verdict and early-exit paths
-//! must agree, and the stateful [`IncrementalChecker`] driven by the
-//! delta-threading enumeration must agree with all of them, on the catalog
-//! and on every enumerated execution at small bounds.
+//! Every model is an [`IrModel`]: an axiom table plus the pool its bodies
+//! live in. A built-in model (from [`Target::model`] or the `X86Model`-style
+//! constructors) owns a copy of its catalog table and *borrows* the catalog
+//! pool; a model defined in Rust or loaded from `.cat` text owns a private
+//! pool. Either way it is checked per execution by [`IrEval`] and along an
+//! enumeration by its [`IncrementalModelChecker`].
+//!
+//! `tests/ir_parity.rs` pins the built-in verdicts (counts and witness
+//! digests on the catalog and on every enumerated execution at small
+//! bounds) and checks the evaluation strategies against each other — the
+//! memoized and recomputing views, the full-verdict and early-exit paths —
+//! and `tests/incremental_parity.rs` checks the incremental checker driven
+//! by the delta-threading enumeration against all of them.
 //!
 //! # Defining a new model
 //!
 //! A model is nothing but axioms, so a new one is a table, not a Rust
-//! module. [`IrModel`] packages a user-built table as a
-//! [`MemoryModel`](crate::MemoryModel):
+//! module. [`IrModel::new`] packages a table built in a private pool:
 //!
 //! ```
 //! use tm_exec::catalog;
@@ -47,10 +52,13 @@
 //! ```
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
+use tm_exec::hash::Fnv1a;
 use tm_exec::ir::{
-    Axiom, AxiomHead, Delta, IncrementalEval, IrEval, IrPool, RelBase, RelId, SetBase,
+    Axiom, AxiomHead, Delta, IncrementalEval, IrEval, IrPool, RelBase, RelExpr, RelId, SetBase,
+    SetExpr, SetId,
 };
 use tm_exec::{ExecView, Fence};
 
@@ -59,7 +67,7 @@ use crate::{Target, Verdict};
 /// The axiom table of one model variant: axioms in declaration order (the
 /// order verdicts report them in) plus a cheapest-first order for early-exit
 /// boolean sweeps.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ModelAxioms {
     name: Cow<'static, str>,
     axioms: Vec<Axiom>,
@@ -102,7 +110,7 @@ impl ModelAxioms {
 }
 
 /// The shared axiom catalog: one pool, ten model tables, the isolation
-/// axioms and `CROrder`.
+/// axioms, `CROrder` and C++ race freedom.
 #[derive(Debug)]
 pub struct IrCatalog {
     pool: IrPool,
@@ -120,6 +128,8 @@ pub struct IrCatalog {
     weak_isol: Axiom,
     strong_isol: Axiom,
     strong_isol_atomic: Axiom,
+    no_race: Axiom,
+    no_race_tm: Axiom,
 }
 
 impl IrCatalog {
@@ -162,6 +172,18 @@ impl IrCatalog {
     /// `StrongIsol` lifted over atomic transactions only (Theorem 7.2).
     pub fn strong_isol_atomic(&self) -> &Axiom {
         &self.strong_isol_atomic
+    }
+
+    /// The `NoRace` axiom of Fig. 9 over the C++ (`transactional` false) or
+    /// C++ TM happens-before: no two conflicting events, not both atomic,
+    /// are unordered by `hb`. A hypothesis of Theorems 7.2 and 7.3, not an
+    /// axiom of either C++ table.
+    pub fn no_race(&self, transactional: bool) -> &Axiom {
+        if transactional {
+            &self.no_race_tm
+        } else {
+            &self.no_race
+        }
     }
 }
 
@@ -389,7 +411,7 @@ fn build_catalog() -> IrCatalog {
     let armv8_tm = ModelAxioms::new("ARMv8+TM", armv8_axioms(p, armv8_ob_tm, true));
 
     // ---- Fig. 9: C++ ± TM -------------------------------------------------
-    let cpp_table = |p: &mut IrPool, tm: bool| {
+    let cpp_table = |p: &mut IrPool, tm: bool| -> (Vec<Axiom>, RelId) {
         let fences = p.set_base(SetBase::Fences);
         let f_acq = p.set_base(SetBase::FencesOf(Fence::FenceAcq));
         let f_rel = p.set_base(SetBase::FencesOf(Fence::FenceRel));
@@ -479,21 +501,37 @@ fn build_catalog() -> IrCatalog {
             p.seq(hb, com_star)
         };
         let no_thin_air_body = p.union(po, rf);
-        vec![
+        let axioms = vec![
             p.axiom("HbCom", AxiomHead::Irreflexive, hb_com_body),
             p.axiom("RMWIsol", AxiomHead::Empty, rmw_isol_body),
             p.axiom("NoThinAir", AxiomHead::Acyclic, no_thin_air_body),
             p.axiom("SeqCst", AxiomHead::Acyclic, psc),
-        ]
+        ];
+        (axioms, hb)
     };
-    let cpp = ModelAxioms::new("C++", cpp_table(p, false));
-    let cpp_tm = ModelAxioms::new("C++(TM)", cpp_table(p, true));
+    let (cpp_axioms, cpp_hb) = cpp_table(p, false);
+    let cpp = ModelAxioms::new("C++", cpp_axioms);
+    let (cpp_tm_axioms, cpp_tm_hb) = cpp_table(p, true);
+    let cpp_tm = ModelAxioms::new("C++(TM)", cpp_tm_axioms);
 
     // ---- §3.3 isolation and §8.3 CROrder ----------------------------------
     let weak_isol_body = p.weaklift(com, stxn);
     let stxnat = p.base(RelBase::Stxnat);
     let strong_isol_atomic_body = p.stronglift(com, stxnat);
     let cr_order_body = p.weaklift(po_com, scr);
+
+    // ---- Fig. 9 NoRace: cnf \ ((Ato × Ato) ∪ hb ∪ hb⁻¹) is empty ------------
+    let no_race = |p: &mut IrPool, hb: RelId| {
+        let cnf = p.base(RelBase::Cnf);
+        let atomics = p.set_base(SetBase::Atomics);
+        let both_atomic = p.cross(atomics, atomics);
+        let hb_inv = p.inverse(hb);
+        let ordered = p.union_all(&[both_atomic, hb, hb_inv]);
+        let races = p.diff(cnf, ordered);
+        p.axiom("NoRace", AxiomHead::Empty, races)
+    };
+    let no_race_base = no_race(p, cpp_hb);
+    let no_race_tm = no_race(p, cpp_tm_hb);
 
     IrCatalog {
         cr_order: p.axiom("CROrder", AxiomHead::Acyclic, cr_order_body),
@@ -504,6 +542,8 @@ fn build_catalog() -> IrCatalog {
             AxiomHead::Acyclic,
             strong_isol_atomic_body,
         ),
+        no_race: no_race_base,
+        no_race_tm,
         pool,
         sc,
         tsc,
@@ -518,253 +558,36 @@ fn build_catalog() -> IrCatalog {
     }
 }
 
-// ---- shared check drivers --------------------------------------------------
-
-/// Checks every axiom of `table` (in declaration order), extracting
-/// witnesses, and appends `CROrder` when `cr_order` is set — the full-verdict
-/// path behind [`MemoryModel::check_view`](crate::MemoryModel::check_view).
-pub(crate) fn check_table(table: &ModelAxioms, cr_order: bool, view: &ExecView<'_>) -> Verdict {
-    let cat = catalog();
-    let eval = IrEval::new(cat.pool(), view);
-    let mut verdict = Verdict::consistent(table.name_cow());
-    for axiom in table.axioms() {
-        if let Some(witness) = eval.witness(axiom) {
-            verdict.push(axiom.name.clone(), Some(witness));
-        }
-    }
-    if cr_order {
-        // The retired hand-written check reported CROrder without a witness;
-        // the IR evaluator extracts the offending cycle like any other
-        // acyclicity axiom.
-        if let Some(witness) = eval.witness(cat.cr_order()) {
-            verdict.push("CROrder", Some(witness));
-        }
-    }
-    verdict
-}
-
-/// True if every axiom of `table` (and `CROrder`, when set) holds — the
-/// early-exit path: axioms are tried cheapest first and the sweep stops at
-/// the first violation, without extracting witnesses.
-pub(crate) fn table_holds(table: &ModelAxioms, cr_order: bool, view: &ExecView<'_>) -> bool {
-    let cat = catalog();
-    let eval = IrEval::new(cat.pool(), view);
-    table.in_cost_order().all(|axiom| eval.holds(axiom))
-        && (!cr_order || eval.holds(cat.cr_order()))
-}
-
-/// Evaluates a single standalone axiom (isolation, `CROrder`) on a view.
+/// Evaluates a single standalone axiom (isolation, `CROrder`, `NoRace`) on
+/// a view.
 pub(crate) fn axiom_holds(axiom: &Axiom, view: &ExecView<'_>) -> bool {
     IrEval::new(catalog().pool(), view).holds(axiom)
 }
 
-// ---- incremental checking ---------------------------------------------------
+// ---- models ------------------------------------------------------------------
 
-/// A *stateful* model checker for enumeration sweeps: the shared-catalog
-/// front end of [`IncrementalEval`](tm_exec::ir::IncrementalEval).
-///
-/// Where [`MemoryModel::check_view`](crate::MemoryModel::check_view) builds
-/// a fresh evaluator per execution, an `IncrementalChecker` lives for a
-/// whole sweep and is told *what changed* between candidates through the
-/// [`Delta`]s that `tm_synth::enumerate` threads to its sinks. Axiom
-/// bodies whose dependency footprint the delta misses keep their values —
-/// and their cached verdicts — across siblings in the enumeration tree.
-///
-/// # Examples
-///
-/// ```
-/// use tm_exec::catalog;
-/// use tm_exec::ir::{Delta, RelBase};
-/// use tm_models::ir::IncrementalChecker;
-/// use tm_models::Target;
-///
-/// let mut checker = IncrementalChecker::new();
-/// let mut exec = catalog::sb();
-/// checker.advance(&exec, &Delta::everything());
-/// assert!(checker.is_consistent(&exec, Target::X86));
-/// assert!(!checker.is_consistent(&exec, Target::Sc));
-///
-/// // Wrap both threads in transactions, telling the checker what changed:
-/// // only the stxn-dependent axiom bodies are re-evaluated.
-/// let mut delta = Delta::new();
-/// for (a, b) in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)] {
-///     exec.stxn.insert(a, b);
-///     delta.add_edge(RelBase::Stxn, a, b);
-/// }
-/// checker.advance(&exec, &delta);
-/// assert!(checker.is_consistent(&exec, Target::X86));
-/// assert!(!checker.is_consistent(&exec, Target::X86Tm));
-/// ```
-pub struct IncrementalChecker {
-    eval: tm_exec::ir::IncrementalEval<'static>,
-    early_exits: u64,
+/// Where an [`IrModel`]'s axiom bodies are interned.
+#[derive(Debug)]
+enum Pool {
+    /// A private pool: a model defined in Rust or loaded from `.cat` text.
+    Owned(Box<IrPool>),
+    /// The shared [`catalog`] pool: a built-in model.
+    Catalog,
 }
 
-impl Default for IncrementalChecker {
-    fn default() -> IncrementalChecker {
-        IncrementalChecker::new()
-    }
-}
-
-impl IncrementalChecker {
-    /// A checker over the shared axiom catalog, with every node value
-    /// unknown until the first [`advance`](IncrementalChecker::advance).
-    pub fn new() -> IncrementalChecker {
-        IncrementalChecker {
-            eval: tm_exec::ir::IncrementalEval::new(catalog().pool()),
-            early_exits: 0,
-        }
-    }
-
-    /// Absorbs the edits that turned the previous candidate into `exec`.
-    /// Call once per candidate, before any query about it.
-    pub fn advance(&mut self, exec: &tm_exec::Execution, delta: &tm_exec::ir::Delta) {
-        self.eval.apply(exec, delta);
-    }
-
-    /// Starts recording undo state for a probe (see
-    /// [`IncrementalEval::savepoint`]).
-    pub fn savepoint(&mut self) {
-        self.eval.savepoint();
-    }
-
-    /// Restores the state captured by the active savepoint.
-    pub fn rollback(&mut self) {
-        self.eval.rollback();
-    }
-
-    /// The underlying evaluator's maintenance counters — the parity tests
-    /// pin `invalidated` at zero over whole sweeps.
-    pub fn stats(&self) -> tm_exec::ir::MaintenanceStats {
-        self.eval.stats()
-    }
-
-    /// Consistency queries that returned `false` before reaching the last
-    /// axiom of the cost order — how often cheapest-axiom-first paid off.
-    pub fn early_exits(&self) -> u64 {
-        self.early_exits
-    }
-
-    /// True if `exec` satisfies every axiom of `target` — the early-exit
-    /// sweep path (cheapest axioms first, cached verdicts reused).
-    pub fn is_consistent(&mut self, exec: &tm_exec::Execution, target: Target) -> bool {
-        let table = catalog().model(target);
-        let eval = &mut self.eval;
-        let mut remaining = table.axioms().len();
-        for axiom in table.in_cost_order() {
-            remaining -= 1;
-            if !eval.holds(exec, axiom) {
-                if remaining > 0 {
-                    self.early_exits += 1;
-                }
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Like [`is_consistent`](IncrementalChecker::is_consistent) with the
-    /// §8.3 `CROrder` axiom appended.
-    pub fn is_consistent_with_cr_order(
-        &mut self,
-        exec: &tm_exec::Execution,
-        target: Target,
-    ) -> bool {
-        self.is_consistent(exec, target) && self.eval.holds(exec, catalog().cr_order())
-    }
-
-    /// The full verdict of `target` on `exec`, with witnesses — matching
-    /// [`MemoryModel::check_view`](crate::MemoryModel::check_view) verdict
-    /// for verdict.
-    pub fn check(&mut self, exec: &tm_exec::Execution, target: Target) -> Verdict {
-        self.check_with_cr_order(exec, target, false)
-    }
-
-    /// [`check`](IncrementalChecker::check), optionally appending `CROrder`.
-    pub fn check_with_cr_order(
-        &mut self,
-        exec: &tm_exec::Execution,
-        target: Target,
-        cr_order: bool,
-    ) -> Verdict {
-        let cat = catalog();
-        let table = cat.model(target);
-        let mut verdict = Verdict::consistent(table.name_cow());
-        for axiom in table.axioms() {
-            if let Some(witness) = self.eval.witness(exec, axiom) {
-                verdict.push(axiom.name.clone(), Some(witness));
-            }
-        }
-        if cr_order {
-            if let Some(witness) = self.eval.witness(exec, cat.cr_order()) {
-                verdict.push("CROrder", Some(witness));
-            }
-        }
-        verdict
-    }
-}
-
-/// An [`IncrementalChecker`] pinned to one [`Target`] (optionally with the
-/// §8.3 `CROrder` axiom appended) — the [`DeltaChecker`](crate::DeltaChecker)
-/// the built-in models hand to generic incremental pipelines such as
-/// `tm_synth::synthesise_suites`.
-pub struct TargetChecker {
-    checker: IncrementalChecker,
-    target: Target,
-    cr_order: bool,
-}
-
-impl TargetChecker {
-    /// A delta-driven checker for `target`, appending `CROrder` when asked.
-    pub fn new(target: Target, cr_order: bool) -> TargetChecker {
-        TargetChecker {
-            checker: IncrementalChecker::new(),
-            target,
-            cr_order,
-        }
-    }
-}
-
-impl crate::DeltaChecker for TargetChecker {
-    fn advance(&mut self, exec: &tm_exec::Execution, delta: &Delta) {
-        self.checker.advance(exec, delta);
-    }
-
-    fn is_consistent(&mut self, exec: &tm_exec::Execution) -> bool {
-        if self.cr_order {
-            self.checker.is_consistent_with_cr_order(exec, self.target)
-        } else {
-            self.checker.is_consistent(exec, self.target)
-        }
-    }
-
-    fn savepoint(&mut self) {
-        self.checker.savepoint();
-    }
-
-    fn rollback(&mut self) {
-        self.checker.rollback();
-    }
-
-    fn telemetry(&self) -> Option<crate::CheckerTelemetry> {
-        Some(crate::CheckerTelemetry {
-            stats: self.checker.stats(),
-            early_exits: self.checker.early_exits(),
-        })
-    }
-}
-
-// ---- user-defined models ---------------------------------------------------
-
-/// A memory model defined entirely by an axiom table.
+/// A memory model defined entirely by an axiom table — the one
+/// [`MemoryModel`](crate::MemoryModel) of this crate.
 ///
-/// The table is built once, in a private pool, by the closure handed to
-/// [`IrModel::new`]; checking evaluates it with the same engine the built-in
-/// models use (per-execution common-subexpression memoization included). See
+/// The model owns its table. Its bodies live either in a private pool (a
+/// model built by [`IrModel::new`] or loaded from `.cat` text through
+/// [`IrModel::from_parts`]) or in the shared [`catalog`] pool (a built-in
+/// model, from [`Target::model`]: *catalog-backed*). Checking evaluates the
+/// table with [`IrEval`] (per-execution common-subexpression memoization
+/// included) or, along an enumeration, with [`IrModel::incremental`]. See
 /// the module docs for a worked example.
 #[derive(Debug)]
 pub struct IrModel {
-    pool: IrPool,
+    pool: Pool,
     table: ModelAxioms,
 }
 
@@ -777,10 +600,7 @@ impl IrModel {
     ) -> IrModel {
         let mut pool = IrPool::new();
         let axioms = define(&mut pool);
-        IrModel {
-            pool,
-            table: ModelAxioms::new(name, axioms),
-        }
+        IrModel::from_parts(name, pool, axioms)
     }
 
     /// Packages a pool and a pre-built axiom table as a model — the entry
@@ -793,7 +613,40 @@ impl IrModel {
         axioms: Vec<Axiom>,
     ) -> IrModel {
         IrModel {
-            pool,
+            pool: Pool::Owned(Box::new(pool)),
+            table: ModelAxioms::new(name, axioms),
+        }
+    }
+
+    /// The built-in model of `target`: a copy of its catalog table over the
+    /// catalog pool.
+    pub(crate) fn builtin(target: Target) -> IrModel {
+        IrModel {
+            pool: Pool::Catalog,
+            table: catalog().model(target).clone(),
+        }
+    }
+
+    /// Appends the catalog's `CROrder` axiom (serialisability of critical
+    /// regions, §8.3) as the table's last axiom: the specification that
+    /// lock-elision checking holds an implementation to.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the model is catalog-backed: `CROrder`'s body lives in
+    /// the catalog pool.
+    pub fn with_cr_order(self) -> IrModel {
+        assert!(
+            matches!(self.pool, Pool::Catalog),
+            "`{}` owns its pool; CROrder can only extend a built-in model",
+            self.table.name()
+        );
+        let ModelAxioms {
+            name, mut axioms, ..
+        } = self.table;
+        axioms.push(catalog().cr_order().clone());
+        IrModel {
+            pool: Pool::Catalog,
             table: ModelAxioms::new(name, axioms),
         }
     }
@@ -805,15 +658,17 @@ impl IrModel {
 
     /// The pool the table's bodies are interned in.
     pub fn pool(&self) -> &IrPool {
-        &self.pool
+        match &self.pool {
+            Pool::Owned(pool) => pool,
+            Pool::Catalog => catalog().pool(),
+        }
     }
 
-    /// A stateful delta-driven checker for this model — the analogue of
-    /// [`IncrementalChecker`] over this model's private pool, for use with
+    /// A stateful delta-driven checker for this model, for use with
     /// `tm_synth::enumerate`.
     pub fn incremental(&self) -> IncrementalModelChecker<'_> {
         IncrementalModelChecker {
-            eval: IncrementalEval::new(&self.pool),
+            eval: IncrementalEval::new(self.pool()),
             table: &self.table,
             early_exits: 0,
         }
@@ -834,7 +689,7 @@ impl crate::MemoryModel for IrModel {
     }
 
     fn check_view(&self, view: &ExecView<'_>) -> Verdict {
-        let eval = IrEval::new(&self.pool, view);
+        let eval = IrEval::new(self.pool(), view);
         let mut verdict = Verdict::consistent(self.table.name_cow());
         for axiom in self.table.axioms() {
             if let Some(witness) = eval.witness(axiom) {
@@ -845,22 +700,179 @@ impl crate::MemoryModel for IrModel {
     }
 
     fn is_consistent_view(&self, view: &ExecView<'_>) -> bool {
-        let eval = IrEval::new(&self.pool, view);
+        let eval = IrEval::new(self.pool(), view);
         self.table.in_cost_order().all(|axiom| eval.holds(axiom))
     }
 
     fn incremental_checker(&self) -> Option<Box<dyn crate::DeltaChecker + '_>> {
         Some(Box::new(self.incremental()))
     }
+
+    fn content_hash(&self) -> Option<u64> {
+        let mut hasher = ContentHasher::new(self.pool());
+        let mut h = Fnv1a::new();
+        for axiom in self.table.axioms() {
+            h.bytes(axiom.name.as_bytes()).byte(0xff);
+            h.byte(axiom.head as u8);
+            h.u64(hasher.rel(axiom.body));
+        }
+        Some(h.finish())
+    }
 }
 
-/// A stateful, delta-driven checker for one [`IrModel`]: the user-model
-/// sibling of [`IncrementalChecker`], so models loaded at runtime (e.g. from
-/// `.cat` text) plug into the incremental enumeration hot path exactly like
-/// the built-in catalog does.
+/// Structural hashing of axiom bodies. A node hashes by its operator and
+/// its operands' hashes, never by its id, so the hash survives whatever
+/// changes interning order but not meaning: renamed `let`s, reflowed text,
+/// comments, `include` layout. Hash-consing orders the operands of `|` and
+/// `&` by id, so a chain of either hashes as the sorted multiset of its
+/// operands. A recursion variable hashes by its position among the
+/// binders of the enclosing `let rec` groups, not by its pool-wide number.
+struct ContentHasher<'p> {
+    pool: &'p IrPool,
+    /// Hashes of closed relation nodes, each computed once.
+    rels: HashMap<RelId, u64>,
+    /// The variables of the enclosing fixpoint groups, innermost last.
+    scopes: Vec<&'p [u32]>,
+}
+
+impl<'p> ContentHasher<'p> {
+    fn new(pool: &'p IrPool) -> ContentHasher<'p> {
+        ContentHasher {
+            pool,
+            rels: HashMap::new(),
+            scopes: Vec::new(),
+        }
+    }
+
+    /// FNV-1a over a tag and the operand hashes, in the given order.
+    fn node(tag: &str, operands: &[u64]) -> u64 {
+        let mut h = Fnv1a::new();
+        h.bytes(tag.as_bytes());
+        for &op in operands {
+            h.u64(op);
+        }
+        h.finish()
+    }
+
+    /// A commutative chain: every operand of nested `op` nodes under `id`,
+    /// hashed and sorted.
+    fn chain(&mut self, tag: &str, id: RelId, op: fn(RelExpr) -> Option<(RelId, RelId)>) -> u64 {
+        let mut stack = vec![id];
+        let mut operands = Vec::new();
+        while let Some(id) = stack.pop() {
+            match op(self.pool.rel_expr(id)) {
+                Some((a, b)) => stack.extend([a, b]),
+                None => operands.push(self.rel(id)),
+            }
+        }
+        operands.sort_unstable();
+        Self::node(tag, &operands)
+    }
+
+    fn rel(&mut self, id: RelId) -> u64 {
+        let closed = self.pool.rel_free_vars(id).is_empty();
+        if closed {
+            if let Some(&h) = self.rels.get(&id) {
+                return h;
+            }
+        }
+        let h = match self.pool.rel_expr(id) {
+            RelExpr::Base(base) => Self::node(&format!("{base:?}"), &[]),
+            RelExpr::IdOn(s) => Self::node("[]", &[self.set(s)]),
+            RelExpr::Cross(a, b) => Self::node("cross", &[self.set(a), self.set(b)]),
+            RelExpr::Seq(a, b) => Self::node(";", &[self.rel(a), self.rel(b)]),
+            RelExpr::Union(..) => self.chain("|", id, |e| match e {
+                RelExpr::Union(a, b) => Some((a, b)),
+                _ => None,
+            }),
+            RelExpr::Inter(..) => self.chain("&", id, |e| match e {
+                RelExpr::Inter(a, b) => Some((a, b)),
+                _ => None,
+            }),
+            RelExpr::Diff(a, b) => Self::node("\\", &[self.rel(a), self.rel(b)]),
+            RelExpr::Inverse(a) => Self::node("^-1", &[self.rel(a)]),
+            RelExpr::Opt(a) => Self::node("?", &[self.rel(a)]),
+            RelExpr::Plus(a) => Self::node("+", &[self.rel(a)]),
+            RelExpr::Star(a) => Self::node("*", &[self.rel(a)]),
+            RelExpr::WeakLift(a, t) => Self::node("weaklift", &[self.rel(a), self.rel(t)]),
+            RelExpr::StrongLift(a, t) => Self::node("stronglift", &[self.rel(a), self.rel(t)]),
+            RelExpr::Var(v) => {
+                let (depth, index) = self
+                    .scopes
+                    .iter()
+                    .rev()
+                    .enumerate()
+                    .find_map(|(depth, vars)| vars.iter().position(|&w| w == v).map(|i| (depth, i)))
+                    .expect("a recursion variable is only reachable inside its group");
+                Self::node("var", &[depth as u64, index as u64])
+            }
+            RelExpr::Fix(g, i) => {
+                self.scopes.push(self.pool.fix_vars(g));
+                let mut operands = vec![u64::from(i)];
+                for &body in self.pool.fix_bodies(g) {
+                    operands.push(self.rel(body));
+                }
+                self.scopes.pop();
+                Self::node("fix", &operands)
+            }
+        };
+        if closed {
+            self.rels.insert(id, h);
+        }
+        h
+    }
+
+    fn set(&mut self, id: SetId) -> u64 {
+        // Sets are few and never recursive: no memo needed.
+        let mut stack = vec![id];
+        let mut operands = Vec::new();
+        let tag = match self.pool.set_expr(id) {
+            SetExpr::Base(base) => return Self::node(&format!("{base:?}"), &[]),
+            SetExpr::Union(..) => "|",
+            SetExpr::Inter(..) => "&",
+        };
+        while let Some(id) = stack.pop() {
+            match (tag, self.pool.set_expr(id)) {
+                ("|", SetExpr::Union(a, b)) | ("&", SetExpr::Inter(a, b)) => stack.extend([a, b]),
+                _ => operands.push(self.set(id)),
+            }
+        }
+        operands.sort_unstable();
+        Self::node(tag, &operands)
+    }
+}
+
+/// A stateful, delta-driven checker for one [`IrModel`], so built-in models
+/// and models loaded at runtime (e.g. from `.cat` text) plug into the
+/// incremental enumeration hot path the same way.
 ///
 /// Borrows the model, so build it inside the per-worker closure of
 /// `tm_synth::enumerate` (scoped threads keep the borrow legal).
+///
+/// # Examples
+///
+/// ```
+/// use tm_exec::catalog;
+/// use tm_exec::ir::{Delta, RelBase};
+/// use tm_models::{MemoryModel, X86Model};
+///
+/// let model = X86Model::tm();
+/// let mut checker = model.incremental();
+/// let mut exec = catalog::sb();
+/// checker.advance(&exec, &Delta::everything());
+/// assert!(checker.is_consistent(&exec));
+///
+/// // Wrap both threads in transactions, telling the checker what changed:
+/// // only the stxn-dependent axiom bodies are re-evaluated.
+/// let mut delta = Delta::new();
+/// for (a, b) in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)] {
+///     exec.stxn.insert(a, b);
+///     delta.add_edge(RelBase::Stxn, a, b);
+/// }
+/// checker.advance(&exec, &delta);
+/// assert!(!checker.is_consistent(&exec));
+/// assert_eq!(checker.check(&exec), model.check(&exec));
+/// ```
 pub struct IncrementalModelChecker<'m> {
     eval: IncrementalEval<'m>,
     table: &'m ModelAxioms,
@@ -951,6 +963,7 @@ impl crate::DeltaChecker for IncrementalModelChecker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemoryModel;
     use tm_exec::catalog as execs;
     use tm_exec::ir::txn_polarity;
 
@@ -1032,10 +1045,99 @@ mod tests {
             let body = p.union(poloc, com);
             vec![p.axiom("Coherence", AxiomHead::Acyclic, body)]
         });
-        use crate::MemoryModel;
         assert_eq!(model.axioms(), vec!["Coherence"]);
         assert!(model.is_consistent(&execs::sb()));
         let verdict = model.check(&execs::fig1());
         assert!(verdict.violates("Coherence"), "{verdict}");
+    }
+
+    /// `acyclic (po | rf | co) ; po`, interning the union's operands in
+    /// `order` (a permutation of 0..3) and padding the pool with an unused
+    /// node first when `pad` is set, so node ids differ between builds.
+    fn sample(order: [usize; 3], pad: bool) -> IrModel {
+        IrModel::new("sample", |p| {
+            if pad {
+                p.base(RelBase::Ctrl);
+            }
+            let bases = [RelBase::Po, RelBase::Rf, RelBase::Co];
+            let ids: Vec<RelId> = order.iter().map(|&i| p.base(bases[i])).collect();
+            let left = p.union(ids[0], ids[1]);
+            let chain = p.union(left, ids[2]);
+            let po = p.base(RelBase::Po);
+            let body = p.seq(chain, po);
+            vec![p.axiom("Order", AxiomHead::Acyclic, body)]
+        })
+    }
+
+    #[test]
+    fn content_hash_ignores_interning_order_but_not_meaning() {
+        let hash = |m: &IrModel| m.content_hash().unwrap();
+        let reference = hash(&sample([0, 1, 2], false));
+        assert_eq!(hash(&sample([2, 0, 1], true)), reference);
+        assert_eq!(hash(&sample([1, 2, 0], false)), reference);
+        // A different body, head or axiom name is a different model.
+        let variant = |name: &'static str, head: AxiomHead, drop_co: bool| {
+            IrModel::new("sample", |p| {
+                let po = p.base(RelBase::Po);
+                let rf = p.base(RelBase::Rf);
+                let co = p.base(RelBase::Co);
+                let chain = if drop_co {
+                    p.union(po, rf)
+                } else {
+                    p.union_all(&[po, rf, co])
+                };
+                let body = p.seq(chain, po);
+                vec![p.axiom(name, head, body)]
+            })
+        };
+        assert_eq!(
+            hash(&variant("Order", AxiomHead::Acyclic, false)),
+            reference
+        );
+        assert_ne!(hash(&variant("Order", AxiomHead::Acyclic, true)), reference);
+        assert_ne!(
+            hash(&variant("Order", AxiomHead::Irreflexive, false)),
+            reference
+        );
+        assert_ne!(
+            hash(&variant("Other", AxiomHead::Acyclic, false)),
+            reference
+        );
+        // Every built-in table has its own hash, and CROrder changes it.
+        let mut hashes: Vec<u64> = Target::ALL.iter().map(|t| hash(&t.model())).collect();
+        hashes.push(hash(&Target::X86Tm.model().with_cr_order()));
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), Target::ALL.len() + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "owns its pool")]
+    fn cr_order_only_extends_built_in_models() {
+        let _ = sample([0, 1, 2], false).with_cr_order();
+    }
+
+    #[test]
+    fn no_race_uses_each_cpp_tables_own_hb() {
+        let cat = catalog();
+        let hb_of = |target: Target| match cat.pool().rel_expr(cat.model(target).axioms()[0].body) {
+            // HbCom = hb ; com*.
+            RelExpr::Seq(hb, _) => hb,
+            other => panic!("unexpected HbCom body {other:?}"),
+        };
+        for (tm, target) in [(false, Target::Cpp), (true, Target::CppTm)] {
+            let RelExpr::Diff(_, ordered) = cat.pool().rel_expr(cat.no_race(tm).body) else {
+                panic!("NoRace is a difference");
+            };
+            let mut stack = vec![ordered];
+            let mut parts = Vec::new();
+            while let Some(id) = stack.pop() {
+                match cat.pool().rel_expr(id) {
+                    RelExpr::Union(a, b) => stack.extend([a, b]),
+                    _ => parts.push(id),
+                }
+            }
+            assert!(parts.contains(&hb_of(target)), "{target}");
+        }
     }
 }

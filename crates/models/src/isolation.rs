@@ -1,5 +1,7 @@
-//! Isolation axioms (§3.3) and the critical-region serialisation axiom used
-//! for lock-elision checking (§8.3).
+//! The standalone catalog axioms: isolation (§3.3), the critical-region
+//! serialisation axiom used for lock-elision checking (§8.3), and the C++
+//! side conditions of Theorems 7.2 and 7.3 (race freedom, and no atomic
+//! operations inside atomic transactions).
 
 use tm_exec::{ExecView, Execution};
 
@@ -49,6 +51,35 @@ pub fn cr_order(exec: &Execution) -> bool {
 /// [`cr_order`] over a memoized view.
 pub fn cr_order_view(view: &ExecView<'_>) -> bool {
     crate::ir::axiom_holds(crate::ir::catalog().cr_order(), view)
+}
+
+/// The `NoRace` axiom of Fig. 9 over the C++ happens-before — with the TM
+/// extension's transactional synchronisation when `transactional` is set:
+/// true if no two conflicting events, not both atomic, are unordered by
+/// `hb`. A program with a racy consistent execution has undefined
+/// behaviour, and Theorems 7.2 and 7.3 assume race freedom.
+pub fn no_race(exec: &Execution, transactional: bool) -> bool {
+    no_race_view(&ExecView::new(exec), transactional)
+}
+
+/// [`no_race`] over a memoized view.
+pub fn no_race_view(view: &ExecView<'_>, transactional: bool) -> bool {
+    crate::ir::axiom_holds(crate::ir::catalog().no_race(transactional), view)
+}
+
+/// True if every atomic transaction contains no atomic operation — the
+/// syntactic restriction the C++ TM specification places on
+/// `atomic { … }` blocks, and a hypothesis of Theorem 7.2.
+pub fn atomic_txns_contain_no_atomics(exec: &Execution) -> bool {
+    atomic_txns_contain_no_atomics_view(&ExecView::new(exec))
+}
+
+/// [`atomic_txns_contain_no_atomics`] over a memoized view.
+pub fn atomic_txns_contain_no_atomics_view(view: &ExecView<'_>) -> bool {
+    view.exec()
+        .stxnat
+        .domain()
+        .is_disjoint_from(&view.atomics())
 }
 
 #[cfg(test)]

@@ -7,9 +7,14 @@
 //! (C++ ± TM), the isolation axioms of §3.3, and the `CROrder` axiom used
 //! for lock-elision checking in §8.3.
 //!
-//! All models operate on the [`tm_exec::Execution`] candidate executions and
-//! report per-axiom verdicts, which the synthesiser (`tm-synth`), the
-//! metatheory checks (`tm-metatheory`) and the benchmark harness rely on.
+//! Every model is an [`ir::IrModel`]: a table of axioms over the relational
+//! IR of [`tm_exec::ir`]. The built-in models are tables of one shared
+//! catalog ([`ir::catalog`]); [`Target::model`] and the constructors
+//! [`X86Model`], [`PowerModel`], [`Armv8Model`], [`CppModel`] and
+//! [`ScModel`] hand out copies of them. Models check
+//! [`tm_exec::Execution`] candidates and report per-axiom verdicts, which
+//! the synthesiser (`tm-synth`), the metatheory checks (`tm-metatheory`)
+//! and the benchmark harness rely on.
 //!
 //! # Quick start
 //!
@@ -41,6 +46,7 @@ mod x86;
 
 pub use armv8::Armv8Model;
 pub use cpp::CppModel;
+pub use ir::IrModel;
 pub use power::PowerModel;
 pub use sc::ScModel;
 pub use verdict::{Verdict, Violation};
@@ -121,7 +127,9 @@ impl CheckerTelemetry {
 /// fresh view around a bare [`Execution`].
 ///
 /// Models are `Send + Sync` so `&dyn MemoryModel` can be shared by the
-/// parallel enumeration workers.
+/// parallel enumeration workers. [`ir::IrModel`] is the one implementation
+/// in this crate; the trait stays so callers can wrap a model (to time or
+/// instrument it, say) and hand the wrapper to any pipeline.
 pub trait MemoryModel: Send + Sync {
     /// A short human-readable name (e.g. `"Power+TM"`). Borrowed from the
     /// model so that runtime-loaded models (whose names come from `.cat`
@@ -154,21 +162,26 @@ pub trait MemoryModel: Send + Sync {
     }
 
     /// A delta-driven [`DeltaChecker`] for this model, or `None` if it only
-    /// supports per-execution checking. All built-in models and runtime
-    /// [`ir::IrModel`]s return one. Pipelines take [`delta_checker`],
-    /// which answers from scratch when this is `None`.
+    /// supports per-execution checking. Every [`ir::IrModel`] returns one.
+    /// Pipelines take [`delta_checker`], which answers from scratch when
+    /// this is `None`.
     fn incremental_checker(&self) -> Option<Box<dyn DeltaChecker + '_>> {
         None
     }
 
-    /// The shared-catalog axiom table this model checks, if it is one of
-    /// the built-in models: the [`Target`] plus whether the §8.3 `CROrder`
-    /// axiom is appended. Pipelines that check *several* built-in models
-    /// per candidate (suite synthesis checks a TM model and its baseline)
-    /// use this to drive them all through **one** stateful
-    /// [`ir::IncrementalChecker`] — one delta propagation over the shared
-    /// pool instead of one per model, with every shared axiom body's value
-    /// computed once. `None` for runtime models with private pools.
+    /// A structural hash of the model's axioms (names, heads and bodies),
+    /// independent of how the bodies were written or interned, or `None`
+    /// if the model cannot describe its content. Checkpointed sweeps bind
+    /// their journals to it, so a resume with an edited model that kept
+    /// its name is refused.
+    fn content_hash(&self) -> Option<u64> {
+        None
+    }
+
+    /// Unused: nothing in this workspace calls it, and every model here
+    /// returns `None`. It stays only because the benchmark harness
+    /// (`perfbench`) forwards it in its timing wrapper; remove it together
+    /// with the next change to that harness.
     fn catalog_target(&self) -> Option<(Target, bool)> {
         None
     }
@@ -202,8 +215,8 @@ impl DeltaChecker for FromScratch<'_> {
 /// transactional extensions.
 ///
 /// `Target` is a convenience for tools (synthesis, benchmarks, examples)
-/// that are parameterised by model; each variant constructs the
-/// corresponding [`MemoryModel`].
+/// that are parameterised by model; each variant names one table of the
+/// shared catalog.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Target {
     /// Sequential consistency (Fig. 4, baseline).
@@ -255,20 +268,10 @@ impl Target {
     /// The hardware architecture targets with TM.
     pub const HARDWARE_TM: [Target; 3] = [Target::X86Tm, Target::PowerTm, Target::Armv8Tm];
 
-    /// Constructs the memory model for this target.
-    pub fn model(self) -> Box<dyn MemoryModel> {
-        match self {
-            Target::Sc => Box::new(ScModel::sc()),
-            Target::Tsc => Box::new(ScModel::tsc()),
-            Target::X86 => Box::new(X86Model::baseline()),
-            Target::X86Tm => Box::new(X86Model::tm()),
-            Target::Power => Box::new(PowerModel::baseline()),
-            Target::PowerTm => Box::new(PowerModel::tm()),
-            Target::Armv8 => Box::new(Armv8Model::baseline()),
-            Target::Armv8Tm => Box::new(Armv8Model::tm()),
-            Target::Cpp => Box::new(CppModel::baseline()),
-            Target::CppTm => Box::new(CppModel::tm()),
-        }
+    /// The memory model of this target: a copy of its catalog table over
+    /// the shared catalog pool.
+    pub fn model(self) -> IrModel {
+        IrModel::builtin(self)
     }
 
     /// The non-transactional baseline this target is built on (`self` if it

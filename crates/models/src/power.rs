@@ -1,12 +1,10 @@
 //! The Power memory model with transactional extensions (Fig. 6).
 
-use tm_exec::{ExecView, Execution, Fence};
-use tm_relation::Relation;
-
-use crate::{MemoryModel, Verdict};
+use crate::ir::IrModel;
+use crate::Target;
 
 /// The Power memory model of Alglave et al. ("herding cats"), extended —
-/// when `transactional` — with the paper's TM axioms:
+/// in [`PowerModel::tm`] — with the paper's TM axioms:
 ///
 /// * `Coherence`, `RMWIsol`, `Order` (`acyclic(hb)`), `Propagation`
 ///   (`acyclic(co ∪ prop)`) and `Observation`
@@ -26,6 +24,9 @@ use crate::{MemoryModel, Verdict};
 /// dependency-into-internal-read-from chains); the paper elides the exact
 /// definition and our conformance suites only rely on this fragment.
 ///
+/// The tables live in the shared catalog ([`crate::ir::catalog`]); this
+/// type only names their constructors.
+///
 /// # Examples
 ///
 /// ```
@@ -38,234 +39,25 @@ use crate::{MemoryModel, Verdict};
 /// // transaction (execution (1) of §5.2).
 /// assert!(!PowerModel::tm().is_consistent(&catalog::power_wrc_tprop1()));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PowerModel {
-    transactional: bool,
-    cr_order: bool,
-}
+pub enum PowerModel {}
 
 impl PowerModel {
     /// The non-transactional baseline model.
-    pub fn baseline() -> PowerModel {
-        PowerModel {
-            transactional: false,
-            cr_order: false,
-        }
+    pub fn baseline() -> IrModel {
+        Target::Power.model()
     }
 
     /// The transactional model.
-    pub fn tm() -> PowerModel {
-        PowerModel {
-            transactional: true,
-            cr_order: false,
-        }
-    }
-
-    /// Adds the `CROrder` axiom (serialisability of critical regions).
-    pub fn with_cr_order(mut self) -> PowerModel {
-        self.cr_order = true;
-        self
-    }
-
-    /// True if the TM axioms are enabled.
-    pub fn is_transactional(&self) -> bool {
-        self.transactional
-    }
-
-    /// The [`crate::Target`] whose axiom table this model checks.
-    fn target(&self) -> crate::Target {
-        if self.transactional {
-            crate::Target::PowerTm
-        } else {
-            crate::Target::Power
-        }
-    }
-
-    /// The preserved-program-order approximation.
-    pub fn ppo(&self, exec: &Execution) -> Relation {
-        self.ppo_view(&ExecView::new(exec))
-    }
-
-    /// [`PowerModel::ppo`] over a memoized view.
-    pub fn ppo_view(&self, view: &ExecView<'_>) -> Relation {
-        let exec = view.exec();
-        let deps = exec.addr.union(&exec.data);
-        let ctrl_to_writes = exec.ctrl.compose(&view.id_writes());
-        let mut ppo = deps.compose(&view.rfi());
-        ppo.union_in_place(&deps);
-        ppo.union_in_place(&ctrl_to_writes);
-        ppo.intersect_in_place(&exec.po);
-        ppo
-    }
-
-    /// The fence relation: `sync ∪ tfence ∪ (lwsync \ (W × R))`.
-    pub fn fence(&self, exec: &Execution) -> Relation {
-        self.fence_view(&ExecView::new(exec))
-    }
-
-    /// [`PowerModel::fence`] over a memoized view.
-    pub fn fence_view(&self, view: &ExecView<'_>) -> Relation {
-        let mut lwsync = view.fence_rel(Fence::Lwsync).into_owned();
-        lwsync.difference_in_place(&Relation::cross(&view.writes(), &view.reads()));
-        let mut fence = lwsync;
-        fence.union_in_place(&view.fence_rel(Fence::Sync));
-        if self.transactional {
-            fence.union_in_place(&view.tfence());
-        }
-        fence
-    }
-
-    /// Intra-thread happens-before: `ihb = ppo ∪ fence`.
-    pub fn ihb(&self, exec: &Execution) -> Relation {
-        self.ihb_view(&ExecView::new(exec))
-    }
-
-    /// [`PowerModel::ihb`] over a memoized view.
-    pub fn ihb_view(&self, view: &ExecView<'_>) -> Relation {
-        let mut ihb = self.ppo_view(view);
-        ihb.union_in_place(&self.fence_view(view));
-        ihb
-    }
-
-    /// The transactional happens-before relation `thb` (only meaningful for
-    /// the transactional model):
-    /// `thb = (rfe ∪ ((fre ∪ coe)* ; ihb))* ; (fre ∪ coe)* ; rfe?`.
-    pub fn thb(&self, exec: &Execution) -> Relation {
-        self.thb_view(&ExecView::new(exec))
-    }
-
-    /// [`PowerModel::thb`] over a memoized view.
-    pub fn thb_view(&self, view: &ExecView<'_>) -> Relation {
-        let ihb = self.ihb_view(view);
-        let mut fre_coe = view.fre().into_owned();
-        fre_coe.union_in_place(&view.coe());
-        let fre_coe_star = fre_coe.reflexive_transitive_closure();
-        let mut step = fre_coe_star.compose(&ihb);
-        step.union_in_place(&view.rfe());
-        step.reflexive_transitive_closure()
-            .compose(&fre_coe_star)
-            .compose(&view.rfe().reflexive_closure())
-    }
-
-    /// The happens-before relation of Fig. 6:
-    /// `hb = (rfe? ; ihb ; rfe?) ∪ weaklift(thb, stxn)` (the lifted part only
-    /// with TM enabled).
-    pub fn hb(&self, exec: &Execution) -> Relation {
-        self.hb_view(&ExecView::new(exec))
-    }
-
-    /// [`PowerModel::hb`] over a memoized view.
-    pub fn hb_view(&self, view: &ExecView<'_>) -> Relation {
-        let ihb = self.ihb_view(view);
-        let rfe_q = view.rfe().reflexive_closure();
-        let mut hb = rfe_q.compose(&ihb).compose(&rfe_q);
-        if self.transactional {
-            hb.union_in_place(&Execution::weaklift(
-                &self.thb_view(view),
-                &view.exec().stxn,
-            ));
-        }
-        hb
-    }
-
-    /// The propagation relation of Fig. 6 (including `tprop1`/`tprop2` when
-    /// TM is enabled).
-    pub fn prop(&self, exec: &Execution) -> Relation {
-        self.prop_view(&ExecView::new(exec))
-    }
-
-    /// [`PowerModel::prop`] over a memoized view.
-    pub fn prop_view(&self, view: &ExecView<'_>) -> Relation {
-        let exec = view.exec();
-        let fence = self.fence_view(view);
-        let hb_star = self.hb_view(view).reflexive_transitive_closure();
-        let rfe_q = view.rfe().reflexive_closure();
-        let efence = rfe_q.compose(&fence).compose(&rfe_q);
-        let id_w = view.id_writes();
-
-        let prop1 = id_w.compose(&efence).compose(&hb_star).compose(&id_w);
-
-        let mut strong_fence = view.fence_rel(Fence::Sync).into_owned();
-        if self.transactional {
-            strong_fence.union_in_place(&view.tfence());
-        }
-        let prop2 = view
-            .come()
-            .reflexive_transitive_closure()
-            .compose(&efence.reflexive_transitive_closure())
-            .compose(&hb_star)
-            .compose(&strong_fence)
-            .compose(&hb_star);
-
-        let mut prop = prop1;
-        prop.union_in_place(&prop2);
-        if self.transactional {
-            let tprop1 = view.rfe().compose(&exec.stxn).compose(&id_w);
-            let tprop2 = exec.stxn.compose(&view.rfe());
-            prop.union_in_place(&tprop1);
-            prop.union_in_place(&tprop2);
-        }
-        prop
-    }
-}
-
-impl MemoryModel for PowerModel {
-    fn name(&self) -> &str {
-        if self.transactional {
-            "Power+TM"
-        } else {
-            "Power"
-        }
-    }
-
-    fn axioms(&self) -> Vec<&str> {
-        let mut axioms = vec![
-            "Coherence",
-            "RMWIsol",
-            "Order",
-            "Propagation",
-            "Observation",
-        ];
-        if self.transactional {
-            axioms.extend(["StrongIsol", "TxnOrder", "TxnCancelsRMW"]);
-        }
-        if self.cr_order {
-            axioms.push("CROrder");
-        }
-        axioms
-    }
-
-    fn check_view(&self, view: &ExecView<'_>) -> Verdict {
-        crate::ir::check_table(
-            crate::ir::catalog().model(self.target()),
-            self.cr_order,
-            view,
-        )
-    }
-
-    fn is_consistent_view(&self, view: &ExecView<'_>) -> bool {
-        crate::ir::table_holds(
-            crate::ir::catalog().model(self.target()),
-            self.cr_order,
-            view,
-        )
-    }
-    fn catalog_target(&self) -> Option<(crate::Target, bool)> {
-        Some((self.target(), self.cr_order))
-    }
-
-    fn incremental_checker(&self) -> Option<Box<dyn crate::DeltaChecker + '_>> {
-        Some(Box::new(crate::ir::TargetChecker::new(
-            self.target(),
-            self.cr_order,
-        )))
+    pub fn tm() -> IrModel {
+        Target::PowerTm.model()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_exec::{catalog, Event, ExecutionBuilder};
+    use crate::MemoryModel;
+    use tm_exec::{catalog, Event, ExecutionBuilder, Fence};
 
     #[test]
     fn baseline_allows_the_classic_power_relaxations() {

@@ -1,8 +1,7 @@
 //! Sequential consistency and transactional sequential consistency (Fig. 4).
 
-use tm_exec::ExecView;
-
-use crate::{MemoryModel, Verdict};
+use crate::ir::IrModel;
+use crate::Target;
 
 /// The SC memory model, optionally strengthened to transactional SC (TSC).
 ///
@@ -12,7 +11,9 @@ use crate::{MemoryModel, Verdict};
 ///
 /// TSC is the upper bound on what a reasonable TM implementation provides
 /// (§3.4); all the architecture models of this crate lie between
-/// [`crate::isolation::weak_isolation`] and TSC.
+/// [`crate::isolation::weak_isolation`] and TSC. The tables live in the
+/// shared catalog ([`crate::ir::catalog`]); this type only names their
+/// constructors.
 ///
 /// # Examples
 ///
@@ -27,80 +28,24 @@ use crate::{MemoryModel, Verdict};
 /// assert!(ScModel::sc().is_consistent(&catalog::fig2()));
 /// assert!(!ScModel::tsc().is_consistent(&catalog::fig2()));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScModel {
-    transactional: bool,
-}
+pub enum ScModel {}
 
 impl ScModel {
     /// Plain sequential consistency (ignores transactions entirely).
-    pub fn sc() -> ScModel {
-        ScModel {
-            transactional: false,
-        }
+    pub fn sc() -> IrModel {
+        Target::Sc.model()
     }
 
     /// Transactional sequential consistency (adds `TxnOrder`).
-    pub fn tsc() -> ScModel {
-        ScModel {
-            transactional: true,
-        }
-    }
-
-    /// True if this is the transactional (TSC) variant.
-    pub fn is_transactional(&self) -> bool {
-        self.transactional
-    }
-
-    /// The [`crate::Target`] whose axiom table this model checks.
-    fn target(&self) -> crate::Target {
-        if self.transactional {
-            crate::Target::Tsc
-        } else {
-            crate::Target::Sc
-        }
-    }
-}
-
-impl MemoryModel for ScModel {
-    fn name(&self) -> &str {
-        if self.transactional {
-            "TSC"
-        } else {
-            "SC"
-        }
-    }
-
-    fn axioms(&self) -> Vec<&str> {
-        if self.transactional {
-            vec!["Order", "TxnOrder"]
-        } else {
-            vec!["Order"]
-        }
-    }
-
-    fn check_view(&self, view: &ExecView<'_>) -> Verdict {
-        crate::ir::check_table(crate::ir::catalog().model(self.target()), false, view)
-    }
-
-    fn is_consistent_view(&self, view: &ExecView<'_>) -> bool {
-        crate::ir::table_holds(crate::ir::catalog().model(self.target()), false, view)
-    }
-    fn catalog_target(&self) -> Option<(crate::Target, bool)> {
-        Some((self.target(), false))
-    }
-
-    fn incremental_checker(&self) -> Option<Box<dyn crate::DeltaChecker + '_>> {
-        Some(Box::new(crate::ir::TargetChecker::new(
-            self.target(),
-            false,
-        )))
+    pub fn tsc() -> IrModel {
+        Target::Tsc.model()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemoryModel;
     use tm_exec::catalog;
 
     #[test]
@@ -151,6 +96,5 @@ mod tests {
         assert_eq!(ScModel::sc().name(), "SC");
         assert_eq!(ScModel::tsc().name(), "TSC");
         assert_eq!(ScModel::tsc().axioms(), vec!["Order", "TxnOrder"]);
-        assert!(ScModel::tsc().is_transactional());
     }
 }

@@ -1,11 +1,9 @@
 //! The x86-TSO memory model with Intel TSX transactions (Fig. 5).
 
-use tm_exec::{ExecView, Execution, Fence};
-use tm_relation::Relation;
+use crate::ir::IrModel;
+use crate::Target;
 
-use crate::{MemoryModel, Verdict};
-
-/// The x86 memory model of Alglave et al., extended (when `transactional`)
+/// The x86 memory model of Alglave et al., extended (in [`X86Model::tm`])
 /// with the paper's TM axioms:
 ///
 /// * `Coherence` — `acyclic(poloc ∪ com)`;
@@ -18,8 +16,10 @@ use crate::{MemoryModel, Verdict};
 /// * `StrongIsol` and `TxnOrder` (TM only) — transactions are strongly
 ///   isolated and appear atomic in `hb`.
 ///
-/// Lock-elision checking (§8.3) additionally needs `CROrder`; enable it
-/// with [`X86Model::with_cr_order`].
+/// The tables live in the shared catalog ([`crate::ir::catalog`]); this
+/// type only names their constructors. Lock-elision checking (§8.3)
+/// additionally needs `CROrder`; append it with
+/// [`IrModel::with_cr_order`].
 ///
 /// # Examples
 ///
@@ -32,137 +32,24 @@ use crate::{MemoryModel, Verdict};
 /// // … and it disappears once both threads are transactions.
 /// assert!(!X86Model::tm().is_consistent(&catalog::sb_txn()));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct X86Model {
-    transactional: bool,
-    cr_order: bool,
-}
+pub enum X86Model {}
 
 impl X86Model {
     /// The non-transactional baseline model.
-    pub fn baseline() -> X86Model {
-        X86Model {
-            transactional: false,
-            cr_order: false,
-        }
+    pub fn baseline() -> IrModel {
+        Target::X86.model()
     }
 
     /// The transactional (TSX) model.
-    pub fn tm() -> X86Model {
-        X86Model {
-            transactional: true,
-            cr_order: false,
-        }
-    }
-
-    /// Adds the `CROrder` axiom (serialisability of critical regions), used
-    /// when checking lock elision against abstract executions.
-    pub fn with_cr_order(mut self) -> X86Model {
-        self.cr_order = true;
-        self
-    }
-
-    /// True if the TM axioms are enabled.
-    pub fn is_transactional(&self) -> bool {
-        self.transactional
-    }
-
-    /// The [`crate::Target`] whose axiom table this model checks.
-    fn target(&self) -> crate::Target {
-        if self.transactional {
-            crate::Target::X86Tm
-        } else {
-            crate::Target::X86
-        }
-    }
-
-    /// The happens-before relation of Fig. 5 for `exec`.
-    pub fn hb(&self, exec: &Execution) -> Relation {
-        self.hb_view(&ExecView::new(exec))
-    }
-
-    /// [`X86Model::hb`] over a memoized view.
-    ///
-    /// In the checking pipeline this body lives as a hash-consed node of the
-    /// shared axiom IR (see [`crate::ir`]), where both x86 variants — and
-    /// the incremental sweep — share its value; this helper recomputes it
-    /// directly for callers that want the relation itself.
-    pub fn hb_view(&self, view: &ExecView<'_>) -> Relation {
-        let exec = view.exec();
-        let writes = view.writes();
-        let reads = view.reads();
-        // ppo = ((W×W) ∪ (R×W) ∪ (R×R)) ∩ po — everything except W→R.
-        let mut ppo = Relation::cross(&writes, &writes);
-        ppo.union_in_place(&Relation::cross(&reads, &writes));
-        ppo.union_in_place(&Relation::cross(&reads, &reads));
-        ppo.intersect_in_place(&exec.po);
-        // implied = [L] ; po ∪ po ; [L], L the LOCK'd RMW events.
-        let locked = exec.rmw.domain().union(&exec.rmw.range());
-        let id_l = Relation::identity_on(&locked);
-        let mut hb = view.fence_rel(Fence::MFence).into_owned();
-        hb.union_in_place(&ppo);
-        hb.union_in_place(&id_l.compose(&exec.po));
-        hb.union_in_place(&exec.po.compose(&id_l));
-        hb.union_in_place(&view.rfe());
-        hb.union_in_place(&view.fr());
-        hb.union_in_place(&exec.co);
-        if self.transactional {
-            hb.union_in_place(&view.tfence());
-        }
-        hb
-    }
-}
-
-impl MemoryModel for X86Model {
-    fn name(&self) -> &str {
-        if self.transactional {
-            "x86+TM"
-        } else {
-            "x86"
-        }
-    }
-
-    fn axioms(&self) -> Vec<&str> {
-        let mut axioms = vec!["Coherence", "RMWIsol", "Order"];
-        if self.transactional {
-            axioms.extend(["StrongIsol", "TxnOrder"]);
-        }
-        if self.cr_order {
-            axioms.push("CROrder");
-        }
-        axioms
-    }
-
-    fn check_view(&self, view: &ExecView<'_>) -> Verdict {
-        crate::ir::check_table(
-            crate::ir::catalog().model(self.target()),
-            self.cr_order,
-            view,
-        )
-    }
-
-    fn is_consistent_view(&self, view: &ExecView<'_>) -> bool {
-        crate::ir::table_holds(
-            crate::ir::catalog().model(self.target()),
-            self.cr_order,
-            view,
-        )
-    }
-    fn catalog_target(&self) -> Option<(crate::Target, bool)> {
-        Some((self.target(), self.cr_order))
-    }
-
-    fn incremental_checker(&self) -> Option<Box<dyn crate::DeltaChecker + '_>> {
-        Some(Box::new(crate::ir::TargetChecker::new(
-            self.target(),
-            self.cr_order,
-        )))
+    pub fn tm() -> IrModel {
+        Target::X86Tm.model()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemoryModel;
     use tm_exec::{catalog, Event, ExecutionBuilder};
 
     #[test]

@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 mod codec;
-mod fnv;
 pub mod journal;
 pub mod lease;
 pub mod report;

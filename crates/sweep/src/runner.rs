@@ -58,10 +58,10 @@ use tm_synth::{
 };
 
 use crate::codec::{decode_execution, encode_execution};
-use crate::fnv::Fnv1a;
 use crate::journal::{self, JournalWriter, Record, JOURNAL_FILE};
 use crate::lease::LeaseManager;
 use crate::report::{Heartbeat, ETA_WINDOW_SECS};
+use tm_exec::hash::Fnv1a;
 
 /// The exit code used by injected-crash fault plans, distinct from every
 /// legitimate `tm-cat` exit code so tests and supervisors can tell an
@@ -115,21 +115,23 @@ pub struct SweepJob<'a> {
 impl SweepJob<'_> {
     /// A stable fingerprint of everything that determines the sweep's
     /// result. Two jobs fingerprint equal iff their journals are
-    /// interchangeable.
+    /// interchangeable. Each model enters by name and, when it has one,
+    /// by [`content_hash`](MemoryModel::content_hash), so a model edited
+    /// under the same name makes the old journal foreign.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.u64(self.config.fingerprint());
         h.usize(self.events);
         h.byte(self.mode.byte());
         h.byte(self.symmetry.byte());
-        h.bytes(self.model.name().as_bytes());
-        h.byte(0xFF);
-        if let Some(b) = self.baseline {
-            h.bytes(b.name().as_bytes());
-        }
-        h.byte(0xFF);
-        if let Some(r) = self.reference {
-            h.bytes(r.name().as_bytes());
+        for model in [Some(self.model), self.baseline, self.reference] {
+            if let Some(model) = model {
+                h.bytes(model.name().as_bytes());
+                if let Some(content) = model.content_hash() {
+                    h.byte(0xFE).u64(content);
+                }
+            }
+            h.byte(0xFF);
         }
         h.finish()
     }

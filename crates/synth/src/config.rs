@@ -1,8 +1,7 @@
 //! Configuration of the bounded exhaustive enumerator.
 
+use tm_exec::hash::Fnv1a;
 use tm_exec::{Annot, Fence};
-
-use crate::hash::Fnv1a;
 
 /// Bounds and feature switches for candidate-execution enumeration.
 ///

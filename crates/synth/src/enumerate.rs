@@ -531,7 +531,7 @@ impl WorkUnit {
     /// the unit list — the key under which checkpointed sweeps journal unit
     /// completion.
     pub fn stable_id(&self, config: &SynthConfig, n: usize) -> u64 {
-        let mut h = crate::hash::Fnv1a::new();
+        let mut h = tm_exec::hash::Fnv1a::new();
         h.u64(config.fingerprint()).usize(n);
         h.usize(self.partition.len());
         for &p in &self.partition {

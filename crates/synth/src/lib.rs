@@ -44,7 +44,6 @@
 mod canon;
 mod config;
 mod enumerate;
-mod hash;
 mod suite;
 mod symmetry;
 mod weaken;

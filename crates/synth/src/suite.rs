@@ -33,8 +33,7 @@ use std::time::{Duration, Instant};
 use tm_exec::ir::Delta;
 use tm_exec::{check_well_formed, ExecView, Execution};
 use tm_litmus::{from_execution, Expectation, LitmusTest};
-use tm_models::ir::IncrementalChecker;
-use tm_models::{delta_checker, CheckerTelemetry, DeltaChecker, MemoryModel, Target};
+use tm_models::{delta_checker, CheckerTelemetry, DeltaChecker, MemoryModel};
 
 use crate::weaken::{probe_edit_script, weakening_edits, Weakening};
 use crate::{
@@ -116,48 +115,6 @@ impl<'a> WorkerFinds<'a> {
 impl Drop for WorkerFinds<'_> {
     fn drop(&mut self) {
         self.out.lock().unwrap().append(&mut self.local);
-    }
-}
-
-/// Whether `exec` is consistent under one built-in target of a shared
-/// catalog checker (with the §8.3 `CROrder` axiom when the flag is set).
-fn catalog_consistent(
-    checker: &mut IncrementalChecker,
-    exec: &Execution,
-    (target, cr_order): (Target, bool),
-) -> bool {
-    if cr_order {
-        checker.is_consistent_with_cr_order(exec, target)
-    } else {
-        checker.is_consistent(exec, target)
-    }
-}
-
-/// One target's face on a *shared* catalog checker: when both models of a
-/// suite are built-in, a single [`IncrementalChecker`] absorbs each delta
-/// once and serves every target's axioms from the same shared-pool state;
-/// this adapter lets the minimality walk probe the TM target through the
-/// common [`DeltaChecker`] interface.
-struct CatalogProbe<'c> {
-    checker: &'c mut IncrementalChecker,
-    target: (Target, bool),
-}
-
-impl DeltaChecker for CatalogProbe<'_> {
-    fn advance(&mut self, exec: &Execution, delta: &Delta) {
-        self.checker.advance(exec, delta);
-    }
-
-    fn is_consistent(&mut self, exec: &Execution) -> bool {
-        catalog_consistent(self.checker, exec, self.target)
-    }
-
-    fn savepoint(&mut self) {
-        self.checker.savepoint();
-    }
-
-    fn rollback(&mut self) {
-        self.checker.rollback();
     }
 }
 
@@ -320,53 +277,16 @@ pub fn synthesise_suites_with(
     // interleaving.
     let found: Mutex<Vec<(CanonSig, Execution, Duration)>> = Mutex::new(Vec::new());
 
-    let tally = match tm_model.catalog_target().zip(baseline.catalog_target()) {
-        // Both models are built-in: one shared-catalog checker absorbs each
-        // delta once and serves both targets (whose axiom bodies largely
-        // coincide as hash-consed nodes) from the same state. This is
-        // `ForbidFilter`'s predicate over one checker instead of two.
-        Some((tm_target, base_target)) => {
-            let make_sink = || {
-                let mut checker = IncrementalChecker::new();
-                let mut seen = HashSet::new();
-                let mut finds = WorkerFinds::new(&found);
-                let mut probe_buf: Option<Execution> = None;
-                move |exec: &Execution, delta: &Delta, _orbit: u64| {
-                    checker.advance(exec, delta);
-                    if exec.stxn.is_empty()
-                        || catalog_consistent(&mut checker, exec, tm_target)
-                        || !catalog_consistent(&mut checker, exec, base_target)
-                    {
-                        return;
-                    }
-                    let sig = canonical_signature(exec);
-                    if !seen.insert(sig.clone()) {
-                        return;
-                    }
-                    let mut probe = CatalogProbe {
-                        checker: &mut checker,
-                        target: tm_target,
-                    };
-                    if minimal_under_weakenings(&mut probe, exec, &mut probe_buf) {
-                        finds.local.push((sig, exec.clone(), start.elapsed()));
-                    }
-                }
-            };
-            enumerate(config, events, symmetry, make_sink, || false)
-        }
-        None => {
-            let make_sink = || {
-                let mut filter = ForbidFilter::new(tm_model, baseline);
-                let mut finds = WorkerFinds::new(&found);
-                move |exec: &Execution, delta: &Delta, _orbit: u64| {
-                    if let Some(sig) = filter.test(exec, delta) {
-                        finds.local.push((sig, exec.clone(), start.elapsed()));
-                    }
-                }
-            };
-            enumerate(config, events, symmetry, make_sink, || false)
+    let make_sink = || {
+        let mut filter = ForbidFilter::new(tm_model, baseline);
+        let mut finds = WorkerFinds::new(&found);
+        move |exec: &Execution, delta: &Delta, _orbit: u64| {
+            if let Some(sig) = filter.test(exec, delta) {
+                finds.local.push((sig, exec.clone(), start.elapsed()));
+            }
         }
     };
+    let tally = enumerate(config, events, symmetry, make_sink, || false);
 
     assemble_suites(
         tm_model,

@@ -79,10 +79,7 @@ fn main() {
     for n in 2..=4 {
         total += enumerate_exact(&cfg, n, |exec| {
             let view = tm_weak_memory::exec::ExecView::new(exec);
-            for (i, m) in [&*x86, &model as &dyn MemoryModel, &*x86_tm]
-                .iter()
-                .enumerate()
-            {
+            for (i, m) in [&x86, &model, &x86_tm].iter().enumerate() {
                 if m.is_consistent_view(&view) {
                     counts[i].fetch_add(1, Ordering::Relaxed);
                 }

@@ -5,7 +5,7 @@
 
 use tm_weak_memory::exec::{catalog, Event, ExecutionBuilder};
 use tm_weak_memory::litmus::{from_execution, render, Arch};
-use tm_weak_memory::models::Target;
+use tm_weak_memory::models::{MemoryModel, Target};
 use tm_weak_memory::sim::{run_test, SimArch};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -1,11 +1,13 @@
 //! Guards on the `.cat` files shipped under `models/`: every generated file
-//! must reload into a model that matches its built-in target verdict for
-//! verdict on the litmus catalog, and the hand-written novel model must
-//! load (through its `include`) and behave as documented.
+//! must be exactly what `tm-cat print` emits today (so the Rust catalog
+//! stays the one source and a hand edit fails here), must reload into a
+//! model that matches its built-in target verdict for verdict on the
+//! litmus catalog, and the hand-written novel model must load (through its
+//! `include`) and behave as documented.
 
 use std::path::{Path, PathBuf};
 
-use tm_cat::load_file;
+use tm_cat::{load_file, print_target};
 use tm_weak_memory::exec::catalog;
 use tm_weak_memory::models::{MemoryModel, Target};
 
@@ -13,6 +15,30 @@ fn models_dir() -> PathBuf {
     // crates/tm/../../models, anchored to the manifest so the test runs
     // from any working directory.
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../models")
+}
+
+/// Each `models/<target>.cat` is the two-line "Generated by" header
+/// followed by `tm-cat print <target>`, byte for byte. Regenerate a file
+/// with the header and `tm-cat print` rather than editing it.
+#[test]
+fn every_generated_model_is_its_printed_target() {
+    for target in Target::ALL {
+        let file = format!("{}.cat", target.name().replace('-', "_"));
+        let path = models_dir().join(&file);
+        let shipped =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let expected = format!(
+            "(* Generated by `tm-cat print {}` from the built-in catalog; reloading\n   \
+             this file reproduces the built-in model verdict-for-verdict. *)\n{}",
+            target.name(),
+            print_target(target)
+        );
+        assert!(
+            shipped == expected,
+            "{file} is not `tm-cat print {}` under its header; regenerate it:\n{expected}",
+            target.name()
+        );
+    }
 }
 
 #[test]

@@ -45,8 +45,7 @@ fn printed_models_reproduce_builtin_verdicts_on_the_litmus_catalog() {
 /// space is designed to exercise.
 fn exhaustive_roundtrip(cfg: &SynthConfig, bound: usize, targets: &[Target]) -> usize {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let pairs: Vec<(Box<dyn MemoryModel>, IrModel)> =
-        targets.iter().map(|&t| (t.model(), reload(t))).collect();
+    let pairs: Vec<(IrModel, IrModel)> = targets.iter().map(|&t| (t.model(), reload(t))).collect();
     let checked = AtomicUsize::new(0);
     for n in 2..=bound {
         enumerate_exact(cfg, n, |exec| {

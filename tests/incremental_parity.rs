@@ -1,12 +1,14 @@
 //! Parity of the *incremental* axiom-IR evaluator against from-scratch
 //! evaluation.
 //!
-//! The incremental engine ([`tm_exec::ir::IncrementalEval`], fronted by
-//! [`tm_models::ir::IncrementalChecker`]) keeps node values alive across
-//! candidates and absorbs edge deltas — semi-naïve propagation through
-//! monotone nodes under additions, footprint invalidation otherwise. These
-//! tests pin it, verdict for verdict and witness for witness, to the
-//! per-execution evaluator that builds a fresh [`ExecView`] every time:
+//! The incremental engine ([`tm_exec::ir::IncrementalEval`], fronted by one
+//! [`tm_models::ir::IncrementalModelChecker`] per model) keeps node values
+//! alive across candidates and absorbs edge deltas — semi-naïve propagation
+//! through monotone nodes under additions, footprint invalidation
+//! otherwise. These tests pin it, verdict for verdict and witness for
+//! witness, for every target and for the hardware TM targets with
+//! `CROrder`, to the per-execution evaluator that builds a fresh
+//! [`ExecView`] every time:
 //!
 //! * on **random edge-addition/removal walks** over the whole named-execution
 //!   catalog, covering every editable base relation;
@@ -26,7 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tm_weak_memory::exec::ir::{Delta, RelBase};
 use tm_weak_memory::exec::{catalog, ExecView, Execution};
-use tm_weak_memory::models::ir::IncrementalChecker;
+use tm_weak_memory::models::ir::{IncrementalModelChecker, IrModel};
 use tm_weak_memory::models::{MemoryModel, Target};
 use tm_weak_memory::synth::{enumerate, Symmetry, SynthConfig};
 
@@ -47,33 +49,58 @@ impl Rng {
     }
 }
 
-/// Asserts the stateful checker agrees with fresh-view evaluation for every
-/// target, with `CROrder` appended on the hardware TM targets.
-fn assert_matches_scratch(checker: &mut IncrementalChecker, exec: &Execution, context: &str) {
-    let view = ExecView::new(exec);
-    for target in Target::ALL {
-        let scratch = target.model().check_view(&view);
-        assert_eq!(
-            checker.check(exec, target),
-            scratch,
-            "{context}: incremental and from-scratch verdicts differ for {target}"
-        );
-        assert_eq!(
-            checker.is_consistent(exec, target),
-            scratch.is_consistent(),
-            "{context}: incremental early-exit verdict differs for {target}"
-        );
+/// Every target, then the hardware TM targets with `CROrder` appended.
+fn parity_models() -> Vec<IrModel> {
+    let mut models: Vec<IrModel> = Target::ALL.iter().map(|t| t.model()).collect();
+    models.extend(
+        Target::HARDWARE_TM
+            .iter()
+            .map(|t| t.model().with_cr_order()),
+    );
+    models
+}
+
+/// One stateful checker per model.
+fn checkers(models: &[IrModel]) -> Vec<IncrementalModelChecker<'_>> {
+    models.iter().map(IrModel::incremental).collect()
+}
+
+/// Advances every checker by `delta`.
+fn advance(checkers: &mut [IncrementalModelChecker<'_>], exec: &Execution, delta: &Delta) {
+    for checker in checkers {
+        checker.advance(exec, delta);
     }
-    for target in Target::HARDWARE_TM {
-        let with_cr = checker.check_with_cr_order(exec, target, true);
-        let scratch_consistent = target.model().is_consistent_view(&view)
-            && tm_weak_memory::models::isolation::cr_order_view(&view);
+}
+
+/// Asserts each stateful checker agrees with fresh-view evaluation of its
+/// model, and that none fell back to footprint invalidation.
+fn assert_matches_scratch(
+    models: &[IrModel],
+    checkers: &mut [IncrementalModelChecker<'_>],
+    exec: &Execution,
+    context: &dyn std::fmt::Display,
+) {
+    let view = ExecView::new(exec);
+    for (model, checker) in models.iter().zip(checkers) {
+        let scratch = model.check_view(&view);
         assert_eq!(
-            checker.is_consistent_with_cr_order(exec, target),
-            scratch_consistent,
-            "{context}: CROrder-extended verdict differs for {target}"
+            checker.check(exec),
+            scratch,
+            "{context}: incremental and from-scratch verdicts differ for {}",
+            model.name()
         );
-        assert_eq!(with_cr.is_consistent(), scratch_consistent, "{context}");
+        assert_eq!(
+            checker.is_consistent(exec),
+            scratch.is_consistent(),
+            "{context}: incremental early-exit verdict differs for {}",
+            model.name()
+        );
+        assert_eq!(
+            checker.stats().invalidated,
+            0,
+            "{context}: a monotone node of {} fell back to footprint invalidation",
+            model.name()
+        );
     }
 }
 
@@ -125,12 +152,13 @@ fn incremental_matches_scratch_on_random_edge_walks() {
         catalog::example_1_1_concrete(true),
     ];
     let mut rng = Rng(0x5eed);
-    let mut checker = IncrementalChecker::new();
+    let models = parity_models();
+    let mut checkers = checkers(&models);
     for exec in starting_points {
         let mut exec = exec;
         let n = exec.len();
-        checker.advance(&exec, &Delta::everything());
-        assert_matches_scratch(&mut checker, &exec, "walk start");
+        advance(&mut checkers, &exec, &Delta::everything());
+        assert_matches_scratch(&models, &mut checkers, &exec, &"walk start");
         for step in 0..24 {
             // Batch one to three toggles into a single delta so multi-edit
             // deltas (and mixed families) are exercised too.
@@ -147,17 +175,13 @@ fn incremental_matches_scratch_on_random_edge_walks() {
                     delta.add_edge(family, a, b);
                 }
             }
-            checker.advance(&exec, &delta);
-            assert_matches_scratch(&mut checker, &exec, &format!("walk step {step}"));
-            assert_eq!(
-                checker.stats().invalidated,
-                0,
-                "a monotone node fell back to footprint invalidation"
-            );
+            advance(&mut checkers, &exec, &delta);
+            let context = format_args!("walk step {step}");
+            assert_matches_scratch(&models, &mut checkers, &exec, &context);
         }
     }
     assert!(
-        checker.stats().maintained > 0,
+        checkers.iter().map(|c| c.stats().maintained).sum::<u64>() > 0,
         "removal walks must maintain derived nodes in place"
     );
 }
@@ -166,11 +190,12 @@ fn incremental_matches_scratch_on_random_edge_walks() {
 #[test]
 fn incremental_matches_scratch_on_addition_only_walks() {
     let mut rng = Rng(0xadd);
-    let mut checker = IncrementalChecker::new();
+    let models = parity_models();
+    let mut checkers = checkers(&models);
     for exec in [catalog::mp(), catalog::lb(), catalog::wrc()] {
         let mut exec = exec;
         let n = exec.len();
-        checker.advance(&exec, &Delta::everything());
+        advance(&mut checkers, &exec, &Delta::everything());
         for step in 0..24 {
             let mut delta = Delta::new();
             let family = [
@@ -188,38 +213,26 @@ fn incremental_matches_scratch_on_addition_only_walks() {
             rel.insert(a, b);
             delta.add_edge(family, a, b);
             assert!(delta.is_additions_only());
-            checker.advance(&exec, &delta);
-            assert_matches_scratch(&mut checker, &exec, &format!("addition step {step}"));
+            advance(&mut checkers, &exec, &delta);
+            let context = format_args!("addition step {step}");
+            assert_matches_scratch(&models, &mut checkers, &exec, &context);
         }
     }
 }
 
 /// Exhaustive agreement at |E| ≤ `bound`: the delta-threading enumeration
-/// drives a per-worker checker, and every candidate's verdicts must match
-/// fresh-view evaluation for all ten targets.
+/// drives one checker per model and worker, and every candidate's verdicts
+/// must match fresh-view evaluation.
 fn exhaustive_incremental_parity(cfg: &SynthConfig, bound: usize) -> usize {
     let checked = AtomicUsize::new(0);
+    let models = parity_models();
     for n in 2..=bound {
         let make_sink = || {
-            let mut checker = IncrementalChecker::new();
-            let models: Vec<(Target, Box<dyn MemoryModel>)> =
-                Target::ALL.iter().map(|&t| (t, t.model())).collect();
-            let checked = &checked;
+            let (models, checked) = (&models, &checked);
+            let mut checkers = checkers(models);
             move |exec: &Execution, delta: &Delta, _: u64| {
-                checker.advance(exec, delta);
-                let view = ExecView::new(exec);
-                for (target, model) in &models {
-                    assert_eq!(
-                        checker.check(exec, *target),
-                        model.check_view(&view),
-                        "incremental and from-scratch verdicts differ for {target} on:\n{exec:?}"
-                    );
-                }
-                assert_eq!(
-                    checker.stats().invalidated,
-                    0,
-                    "a monotone node fell back to footprint invalidation"
-                );
+                advance(&mut checkers, exec, delta);
+                assert_matches_scratch(models, &mut checkers, exec, &format_args!("{exec:?}"));
                 checked.fetch_add(1, Ordering::Relaxed);
             }
         };

@@ -4,7 +4,7 @@
 use tm_weak_memory::exec::catalog;
 use tm_weak_memory::litmus::{from_execution, parse_suite, render, to_text, Arch};
 use tm_weak_memory::metatheory::{compile_execution, elide};
-use tm_weak_memory::models::{Target, X86Model};
+use tm_weak_memory::models::{MemoryModel, Target, X86Model};
 use tm_weak_memory::sim::{run_test, SimArch};
 use tm_weak_memory::synth::{enumerate_exact, synthesise_suites, SynthConfig};
 

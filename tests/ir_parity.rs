@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tm_weak_memory::exec::{catalog, ExecView, Execution};
 use tm_weak_memory::models::isolation;
 use tm_weak_memory::models::{
-    Armv8Model, CppModel, MemoryModel, PowerModel, Target, Verdict, X86Model,
+    Armv8Model, IrModel, MemoryModel, PowerModel, Target, Verdict, X86Model,
 };
 use tm_weak_memory::synth::{enumerate_exact, SynthConfig};
 
@@ -99,12 +99,12 @@ fn assert_parity(model: &dyn MemoryModel, exec: &Execution, context: &str) {
 
 /// The pinned models: every target, then the three hardware TM models with
 /// `CROrder` appended, each with the label its pin row carries.
-fn pinned_models() -> Vec<(&'static str, Box<dyn MemoryModel>)> {
-    let mut models: Vec<(&'static str, Box<dyn MemoryModel>)> =
+fn pinned_models() -> Vec<(&'static str, IrModel)> {
+    let mut models: Vec<(&'static str, IrModel)> =
         Target::ALL.iter().map(|t| (t.name(), t.model())).collect();
-    models.push(("x86-tm+cr", Box::new(X86Model::tm().with_cr_order())));
-    models.push(("power-tm+cr", Box::new(PowerModel::tm().with_cr_order())));
-    models.push(("armv8-tm+cr", Box::new(Armv8Model::tm().with_cr_order())));
+    models.push(("x86-tm+cr", X86Model::tm().with_cr_order()));
+    models.push(("power-tm+cr", PowerModel::tm().with_cr_order()));
+    models.push(("armv8-tm+cr", Armv8Model::tm().with_cr_order()));
     models
 }
 
@@ -130,7 +130,7 @@ struct Tally {
 }
 
 impl Tally {
-    fn new(models: &[(&'static str, Box<dyn MemoryModel>)]) -> Tally {
+    fn new(models: &[(&'static str, IrModel)]) -> Tally {
         Tally {
             labels: models.iter().map(|(label, _)| *label).collect(),
             consistent: models.iter().map(|_| AtomicU64::new(0)).collect(),
@@ -158,8 +158,8 @@ impl Tally {
     }
 
     fn record_races(&self, exec: &Execution) {
-        for (slot, cpp) in self.racy.iter().zip([CppModel::baseline(), CppModel::tm()]) {
-            if cpp.is_racy(exec) {
+        for (slot, transactional) in self.racy.iter().zip([false, true]) {
+            if !isolation::no_race(exec, transactional) {
                 slot.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -226,7 +226,7 @@ fn catalog_wide_verdict_parity_for_every_target() {
         for (i, (label, model)) in models.iter().enumerate() {
             // The CROrder variants' parity is the next test's.
             if i < Target::ALL.len() {
-                assert_parity(model.as_ref(), &exec, label);
+                assert_parity(model, &exec, label);
             }
             tally.record(i, candidate, &model.check(&exec));
         }

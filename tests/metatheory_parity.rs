@@ -144,9 +144,9 @@ fn theorem_oracle(
         exec.stxnat = exec.stxn.clone();
         let view = ExecView::new(&exec);
         if !hypothesis(&view)
-            || !cpp.atomic_txns_contain_no_atomics_view(&view)
+            || !isolation::atomic_txns_contain_no_atomics_view(&view)
             || !cpp.is_consistent_view(&view)
-            || cpp.is_racy_view(&view)
+            || !isolation::no_race_view(&view, true)
         {
             return (0, false);
         }

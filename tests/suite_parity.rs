@@ -20,7 +20,7 @@
 
 use tm_weak_memory::exec::ir::Delta;
 use tm_weak_memory::exec::{ExecView, Execution};
-use tm_weak_memory::models::ir::IncrementalChecker;
+use tm_weak_memory::models::ir::{IncrementalModelChecker, IrModel};
 use tm_weak_memory::models::{MemoryModel, Target, Verdict, X86Model};
 use tm_weak_memory::sweep::{run_sweep, SweepJob, SweepMode, SweepOptions, SweepOutcome};
 use tm_weak_memory::synth::{
@@ -44,9 +44,8 @@ fn signatures(report: &SuiteReport) -> (Vec<CanonSig>, Vec<CanonSig>) {
 fn assert_suites_match(target: Target, cfg: &SynthConfig, events: usize) {
     let tm_model = target.model();
     let baseline = target.baseline().model();
-    let incremental = synthesise_suites(tm_model.as_ref(), baseline.as_ref(), cfg, events);
-    let reference =
-        synthesise_suites_per_execution(tm_model.as_ref(), baseline.as_ref(), cfg, events);
+    let incremental = synthesise_suites(&tm_model, &baseline, cfg, events);
+    let reference = synthesise_suites_per_execution(&tm_model, &baseline, cfg, events);
     assert_eq!(
         incremental.enumerated, reference.enumerated,
         "{target}: pipelines visited different spaces"
@@ -132,7 +131,7 @@ fn x86_forbid_count_matches_paper_table_1_at_three_events() {
     assert_eq!(report.forbid_txn_histogram()[1], 4);
 }
 
-/// Driving the incremental checker over a delta-threading sweep — the
+/// Driving the incremental checkers over a delta-threading sweep — the
 /// removal-heavy odometer walk — must never take the footprint-invalidation
 /// fallback on a maintainable monotone node: every such node is grown and
 /// shrunk in place (`maintained`), and only genuinely non-monotone nodes
@@ -144,18 +143,25 @@ fn sweep_removal_deltas_never_invalidate_monotone_nodes() {
     let mut cfg = SynthConfig::x86(3);
     cfg.max_threads = 2;
     let totals = std::sync::Mutex::new((0u64, 0u64));
+    let (tm, base) = (X86Model::tm(), X86Model::baseline());
     let make_sink = || {
         let totals = &totals;
-        let mut guard = scopeguard(move |checker: &IncrementalChecker| {
-            let stats = checker.stats();
-            let mut totals = totals.lock().unwrap();
-            totals.0 += stats.invalidated;
-            totals.1 += stats.maintained;
-        });
+        let mut guard = ScopeGuard {
+            value: [tm.incremental(), base.incremental()],
+            f: move |checkers: &[IncrementalModelChecker<'_>; 2]| {
+                let mut totals = totals.lock().unwrap();
+                for checker in checkers {
+                    let stats = checker.stats();
+                    totals.0 += stats.invalidated;
+                    totals.1 += stats.maintained;
+                }
+            },
+        };
         move |exec: &Execution, delta: &Delta, _: u64| {
-            guard.value.advance(exec, delta);
-            guard.value.is_consistent(exec, Target::X86Tm);
-            guard.value.is_consistent(exec, Target::X86);
+            for checker in &mut guard.value {
+                checker.advance(exec, delta);
+                checker.is_consistent(exec);
+            }
         }
     };
     enumerate(&cfg, 3, Symmetry::Full, make_sink, || false);
@@ -177,23 +183,16 @@ struct ScopeGuard<T, F: FnMut(&T)> {
     f: F,
 }
 
-fn scopeguard<F: FnMut(&IncrementalChecker)>(f: F) -> ScopeGuard<IncrementalChecker, F> {
-    ScopeGuard {
-        value: IncrementalChecker::new(),
-        f,
-    }
-}
-
 impl<T, F: FnMut(&T)> Drop for ScopeGuard<T, F> {
     fn drop(&mut self) {
         (self.f)(&self.value);
     }
 }
 
-/// A model that delegates to a built-in one but offers neither an
-/// incremental checker nor a shared-catalog target, so every pipeline
-/// drives it through `delta_checker`'s from-scratch adapter.
-struct ScratchOnly(Box<dyn MemoryModel>);
+/// A model that delegates to a built-in one but offers no incremental
+/// checker, so every pipeline drives it through `delta_checker`'s
+/// from-scratch adapter.
+struct ScratchOnly(IrModel);
 
 impl MemoryModel for ScratchOnly {
     fn name(&self) -> &str {
@@ -245,11 +244,10 @@ fn models_without_an_incremental_checker_get_the_same_results() {
         (Target::PowerTm, SynthConfig::power(2), 2),
     ] {
         let (tm, base) = (target.model(), target.baseline().model());
-        let (tm, base) = (tm.as_ref(), base.as_ref());
+        let (tm, base) = (&tm, &base);
         let scratch_tm = ScratchOnly(target.model());
         let scratch_base = ScratchOnly(target.baseline().model());
         assert!(scratch_tm.incremental_checker().is_none());
-        assert!(scratch_tm.catalog_target().is_none());
 
         for symmetry in [Symmetry::Full, Symmetry::Reduced] {
             let fast = synthesise_suites_with(tm, base, &cfg, events, symmetry);

@@ -5,12 +5,14 @@
 //! produces **identical** Forbid/Allow suites (signatures, counts,
 //! transaction histograms, enumeration totals) to an uninterrupted run; a
 //! deterministically failing unit is retried, quarantined, and reported
-//! without taking the sweep down; and deterministic sharding by unit id
-//! partitions the space exactly.
+//! without taking the sweep down; deterministic sharding by unit id
+//! partitions the space exactly; and a journal is bound to the *content*
+//! of the models that wrote it, not only to their names.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
+use tm_weak_memory::cat::load_str;
 use tm_weak_memory::models::{MemoryModel, ScModel, X86Model};
 use tm_weak_memory::sweep::{
     merge_sharded, run_sweep, FailKind, FailPlan, SweepJob, SweepMode, SweepOptions, SweepStatus,
@@ -424,4 +426,102 @@ fn x86_three_event_forbid_count_survives_a_crash_and_resume() {
     let report = resumed.suites.expect("suites mode");
     assert_eq!(report.forbid.len(), 4, "Table 1: x86 |E|=3 Forbid = 4");
     assert_eq!(report.forbid_txn_histogram(), vec![0, 4, 0, 0]);
+}
+
+fn counts_job<'a>(model: &'a dyn MemoryModel, config: &'a SynthConfig) -> SweepJob<'a> {
+    SweepJob {
+        model,
+        baseline: None,
+        reference: None,
+        mode: SweepMode::Counts,
+        config,
+        events: config.max_events,
+        symmetry: Symmetry::Full,
+    }
+}
+
+/// `models/x86_tm.cat` and the x86-trimmed space its counts sweep covers.
+fn x86_tm_cat() -> (String, SynthConfig) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../models/x86_tm.cat");
+    let text = std::fs::read_to_string(&path).expect("models/x86_tm.cat is readable");
+    let config = SynthConfig {
+        rmws: false,
+        max_threads: 2,
+        max_locs: 2,
+        max_txns: 1,
+        ..SynthConfig::x86(4)
+    };
+    (text, config)
+}
+
+/// A checkpointed counts sweep of `models/x86_tm.cat` is bound to the
+/// model's content: resuming it with an edited copy that dropped two
+/// axioms but kept the name `"x86+TM"` is refused (it would mix the counts
+/// of two models), while a copy that only renames its `let`s, reflows the
+/// text and adds comments resumes to the clean run's counts.
+#[test]
+fn resume_is_bound_to_model_content_not_name() {
+    let (text, config) = x86_tm_cat();
+    let load = |text: &str| load_str("x86_tm.cat", text).expect("model loads");
+    let original = load(&text);
+    let weakened_text: String = text
+        .lines()
+        .filter(|l| !l.ends_with("as StrongIsol") && !l.ends_with("as TxnOrder"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let weakened = load(&weakened_text);
+    let cosmetic_text = text
+        .replace("x0", "locked")
+        .replace("x1", "ordered")
+        .replace(" | ", "\n      | ")
+        .replace("acyclic ", "(* reflowed *)\nacyclic\n  ");
+    let cosmetic = load(&cosmetic_text);
+    assert_eq!(weakened.name(), original.name());
+    assert_eq!(weakened.axioms().len() + 2, original.axioms().len());
+    assert_eq!(cosmetic.name(), original.name());
+    assert!(!cosmetic_text.contains("x1") && cosmetic_text.contains("ordered"));
+    assert_eq!(cosmetic.content_hash(), original.content_hash());
+    assert_ne!(weakened.content_hash(), original.content_hash());
+
+    let clean_dir = Scratch::new("content-clean");
+    let clean = run_sweep(
+        &counts_job(&original, &config),
+        &SweepOptions::new(clean_dir.path()),
+    )
+    .expect("clean counts");
+    let other_dir = Scratch::new("content-weakened");
+    let other = run_sweep(
+        &counts_job(&weakened, &config),
+        &SweepOptions::new(other_dir.path()),
+    )
+    .expect("weakened counts");
+    assert_ne!(
+        other.consistent, clean.consistent,
+        "the two models must count differently, or the refusal proves nothing"
+    );
+
+    // Bank all but one unit of the original model.
+    let dir = Scratch::new("content");
+    let mut opts = SweepOptions::new(dir.path());
+    opts.fail_plan = Some(FailPlan {
+        kind: FailKind::Panic,
+        after_units: 3,
+    });
+    opts.retries = 0;
+    let partial = run_sweep(&counts_job(&original, &config), &opts).expect("partial counts");
+    assert_eq!(partial.status, SweepStatus::Partial);
+
+    let mut opts = SweepOptions::new(dir.path());
+    opts.resume = true;
+    let err = run_sweep(&counts_job(&weakened, &config), &opts)
+        .expect_err("an edited model under the same name must be refused");
+    assert!(err.to_string().contains("different sweep"), "got: {err}");
+
+    let resumed = run_sweep(&counts_job(&cosmetic, &config), &opts).expect("cosmetic resume");
+    assert_eq!(resumed.status, SweepStatus::Complete);
+    assert!(resumed.reused_units > 0);
+    assert_eq!(
+        (resumed.visited, resumed.consistent),
+        (clean.visited, clean.consistent)
+    );
 }

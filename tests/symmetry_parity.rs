@@ -135,20 +135,8 @@ fn signatures(report: &SuiteReport) -> (Vec<CanonSig>, Vec<CanonSig>) {
 fn assert_suites_invariant(target: Target, cfg: &SynthConfig, events: usize) -> (usize, usize) {
     let tm_model = target.model();
     let baseline = target.baseline().model();
-    let full = synthesise_suites_with(
-        tm_model.as_ref(),
-        baseline.as_ref(),
-        cfg,
-        events,
-        Symmetry::Full,
-    );
-    let reduced = synthesise_suites_with(
-        tm_model.as_ref(),
-        baseline.as_ref(),
-        cfg,
-        events,
-        Symmetry::Reduced,
-    );
+    let full = synthesise_suites_with(&tm_model, &baseline, cfg, events, Symmetry::Full);
+    let reduced = synthesise_suites_with(&tm_model, &baseline, cfg, events, Symmetry::Reduced);
     assert!(
         reduced.enumerated <= full.enumerated,
         "{target}: reduction visited more executions ({} vs {})",
@@ -216,8 +204,8 @@ fn suites_are_identical_on_and_off_cpp() {
 fn x86_forbid_count_survives_reduction() {
     let target = Target::X86Tm;
     let report = synthesise_suites_with(
-        target.model().as_ref(),
-        target.baseline().model().as_ref(),
+        &target.model(),
+        &target.baseline().model(),
         &SynthConfig::x86(3),
         3,
         Symmetry::Reduced,

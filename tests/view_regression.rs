@@ -9,7 +9,7 @@
 
 use tm_weak_memory::exec::catalog;
 use tm_weak_memory::exec::{ExecView, Execution};
-use tm_weak_memory::models::Target;
+use tm_weak_memory::models::{MemoryModel, Target};
 
 /// The full catalog: every execution discussed in the paper, with a stable
 /// name for error messages.
