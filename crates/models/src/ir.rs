@@ -62,7 +62,7 @@ use tm_exec::ir::{
 };
 use tm_exec::{ExecView, Fence};
 
-use crate::{Target, Verdict};
+use crate::{CheckerTelemetry, DeltaChecker, MemoryModel, Target, Verdict};
 
 /// The axiom table of one model variant: axioms in declaration order (the
 /// order verdicts report them in) plus a cheapest-first order for early-exit
@@ -576,7 +576,7 @@ enum Pool {
 }
 
 /// A memory model defined entirely by an axiom table — the one
-/// [`MemoryModel`](crate::MemoryModel) of this crate.
+/// [`MemoryModel`] of this crate.
 ///
 /// The model owns its table. Its bodies live either in a private pool (a
 /// model built by [`IrModel::new`] or loaded from `.cat` text through
@@ -675,7 +675,7 @@ impl IrModel {
     }
 }
 
-impl crate::MemoryModel for IrModel {
+impl MemoryModel for IrModel {
     fn name(&self) -> &str {
         self.table.name()
     }
@@ -704,7 +704,7 @@ impl crate::MemoryModel for IrModel {
         self.table.in_cost_order().all(|axiom| eval.holds(axiom))
     }
 
-    fn incremental_checker(&self) -> Option<Box<dyn crate::DeltaChecker + '_>> {
+    fn incremental_checker(&self) -> Option<Box<dyn DeltaChecker + '_>> {
         Some(Box::new(self.incremental()))
     }
 
@@ -923,7 +923,7 @@ impl<'m> IncrementalModelChecker<'m> {
     }
 
     /// The full verdict with witnesses, matching
-    /// [`MemoryModel::check`](crate::MemoryModel::check) on the same model.
+    /// [`MemoryModel::check`] on the same model.
     pub fn check(&mut self, exec: &tm_exec::Execution) -> Verdict {
         let mut verdict = Verdict::consistent(self.table.name_cow());
         for axiom in self.table.axioms() {
@@ -935,7 +935,7 @@ impl<'m> IncrementalModelChecker<'m> {
     }
 }
 
-impl crate::DeltaChecker for IncrementalModelChecker<'_> {
+impl DeltaChecker for IncrementalModelChecker<'_> {
     fn advance(&mut self, exec: &tm_exec::Execution, delta: &Delta) {
         IncrementalModelChecker::advance(self, exec, delta);
     }
@@ -952,8 +952,8 @@ impl crate::DeltaChecker for IncrementalModelChecker<'_> {
         IncrementalModelChecker::rollback(self);
     }
 
-    fn telemetry(&self) -> Option<crate::CheckerTelemetry> {
-        Some(crate::CheckerTelemetry {
+    fn telemetry(&self) -> Option<CheckerTelemetry> {
+        Some(CheckerTelemetry {
             stats: self.stats(),
             early_exits: self.early_exits,
         })
@@ -963,7 +963,6 @@ impl crate::DeltaChecker for IncrementalModelChecker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemoryModel;
     use tm_exec::catalog as execs;
     use tm_exec::ir::txn_polarity;
 
