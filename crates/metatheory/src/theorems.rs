@@ -5,6 +5,7 @@ use std::time::{Duration, Instant};
 
 use tm_exec::ir::{Delta, DeltaMask};
 use tm_exec::{ExecView, Execution};
+use tm_models::ir::catalog;
 use tm_models::{delta_checker, isolation, CppModel, MemoryModel, ScModel};
 use tm_synth::SynthConfig;
 
@@ -72,9 +73,10 @@ pub fn check_theorem_7_3(config: &SynthConfig, max_events: usize) -> TheoremResu
 /// C++ TM consistency and race freedom; its conclusion is `conclusion`.
 ///
 /// Each worker keeps a mirror of the enumerator's candidate whose `stxnat`
-/// follows `stxn`, and drives one C++ TM [`DeltaChecker`] along it: by the
-/// enumerator's delta, plus a coarse `stxnat` touch whenever that delta
-/// moves `stxn`.
+/// follows `stxn`, and drives one [`DeltaChecker`] along it — C++ TM with
+/// the catalog's `NoRace` axiom appended, so consistency and race freedom
+/// share one maintained `hb` — by the enumerator's delta, plus a coarse
+/// `stxnat` touch whenever that delta moves `stxn`.
 fn check_theorem(
     theorem: &'static str,
     config: &SynthConfig,
@@ -83,7 +85,7 @@ fn check_theorem(
     conclusion: impl Fn(&ExecView<'_>) -> bool + Sync,
 ) -> TheoremResult {
     let start = Instant::now();
-    let cpp = CppModel::tm();
+    let cpp = CppModel::tm().with_catalog_axiom(catalog().no_race(true));
     let search = Search::new();
     search.run(config, max_events, || {
         let (search, hypothesis, conclusion) = (&search, &hypothesis, &conclusion);
@@ -106,7 +108,6 @@ fn check_theorem(
             if !hypothesis(&view)
                 || !isolation::atomic_txns_contain_no_atomics_view(&view)
                 || !checker.is_consistent(&mirror)
-                || !isolation::no_race_view(&view, true)
             {
                 return;
             }

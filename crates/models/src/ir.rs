@@ -633,18 +633,30 @@ impl IrModel {
     ///
     /// # Panics
     ///
-    /// Panics unless the model is catalog-backed: `CROrder`'s body lives in
-    /// the catalog pool.
+    /// Panics unless the model is catalog-backed (see
+    /// [`with_catalog_axiom`](IrModel::with_catalog_axiom)).
     pub fn with_cr_order(self) -> IrModel {
+        self.with_catalog_axiom(catalog().cr_order())
+    }
+
+    /// Appends a standalone axiom of the [`catalog`] (`CROrder`, `NoRace`,
+    /// an isolation axiom) as the table's last axiom, so one checker
+    /// answers for the model and the extra condition together.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the model is catalog-backed: the axiom's body lives in
+    /// the catalog pool.
+    pub fn with_catalog_axiom(self, axiom: &Axiom) -> IrModel {
         assert!(
             matches!(self.pool, Pool::Catalog),
-            "`{}` owns its pool; CROrder can only extend a built-in model",
+            "`{}` owns its pool; only a built-in model takes a catalog axiom",
             self.table.name()
         );
         let ModelAxioms {
             name, mut axioms, ..
         } = self.table;
-        axioms.push(catalog().cr_order().clone());
+        axioms.push(axiom.clone());
         IrModel {
             pool: Pool::Catalog,
             table: ModelAxioms::new(name, axioms),
