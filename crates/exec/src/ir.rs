@@ -288,6 +288,20 @@ impl IrPool {
         }
     }
 
+    /// [`IrPool::new`] with room for `rels` relation and `sets` set nodes,
+    /// so interning that many never regrows the tables.
+    pub fn with_capacity(rels: usize, sets: usize) -> IrPool {
+        IrPool {
+            rels: Vec::with_capacity(rels),
+            rel_costs: Vec::with_capacity(rels),
+            rel_vars: Vec::with_capacity(rels),
+            rel_index: HashMap::with_capacity(rels),
+            sets: Vec::with_capacity(sets),
+            set_index: HashMap::with_capacity(sets),
+            ..IrPool::new()
+        }
+    }
+
     /// The process-unique identity of this pool.
     pub fn stamp(&self) -> u64 {
         self.stamp

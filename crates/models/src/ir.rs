@@ -194,7 +194,9 @@ pub fn catalog() -> &'static IrCatalog {
 }
 
 fn build_catalog() -> IrCatalog {
-    let mut pool = IrPool::new();
+    // Room for every node below (227 relations, 23 sets), so building the
+    // catalog never rehashes the pool's intern tables.
+    let mut pool = IrPool::with_capacity(256, 32);
     let p = &mut pool;
 
     // ---- vocabulary shared across models ---------------------------------
