@@ -41,7 +41,6 @@ use tm_exec::{ExecView, Execution, Fence};
 use tm_models::ir::IrModel;
 use tm_models::{MemoryModel, X86Model};
 use tm_relation::Relation;
-use tm_sweep::{run_sweep, SweepJob, SweepMode, SweepOptions, SweepStatus};
 use tm_synth::{
     enumerate, enumerate_exact, enumerate_exact_reference, labelled_orbit, synthesise_suites,
     synthesise_suites_per_execution, synthesise_suites_with, CanonSig, SuiteReport, Symmetry,
@@ -377,108 +376,6 @@ fn run_symmetry_pair(cfg: &SynthConfig, max_events: usize) -> (Mode, Mode) {
     (full, reduced)
 }
 
-/// The scheduling study: a 2-shard symmetry-reduced sweep of the 3-thread
-/// space through the checkpointed runner, shards racing side by side the
-/// way a supervised pair does, one worker each. Once with the static
-/// dispatch of earlier releases (`sched: false` — whole units, FIFO order,
-/// a fixed `id % 2` slice per shard) and once with adaptive scheduling
-/// (weight-ordered dispatch, pre-split oversized units, lease-claimed
-/// cross-shard stealing from the shared frontier). The measured quantity
-/// is the **makespan** — wall clock until *both* shards finish — which is
-/// exactly what static sharding loses to straggler shards and the
-/// adaptive scheduler recovers.
-fn run_sched_pair(cfg: &SynthConfig, max_events: usize) -> (Mode, Mode) {
-    let tm = X86Model::tm();
-    let scratch = std::env::temp_dir().join(format!("bench-sweep-sched-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    let shard_pair = |tag: &str, sched: bool| {
-        let job = SweepJob {
-            model: &tm,
-            baseline: None,
-            reference: None,
-            mode: SweepMode::Counts,
-            config: cfg,
-            events: max_events,
-            symmetry: Symmetry::Reduced,
-        };
-        let lease = scratch.join(format!("{tag}-leases"));
-        let start = Instant::now();
-        let outcomes: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..2u32)
-                .map(|i| {
-                    let dir = scratch.join(format!("{tag}-shard-{i}"));
-                    let (job, lease) = (&job, lease.clone());
-                    scope.spawn(move || {
-                        let mut opts = SweepOptions::new(dir);
-                        opts.shard = Some((i, 2));
-                        opts.threads = Some(1);
-                        opts.sched = sched;
-                        if sched {
-                            opts.lease_dir = Some(lease);
-                        }
-                        run_sweep(job, &opts).expect("sched bench shard")
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let seconds = start.elapsed().as_secs_f64();
-        for outcome in &outcomes {
-            assert_eq!(outcome.status, SweepStatus::Complete);
-            assert!(outcome.quarantined.is_empty());
-        }
-        let visited = outcomes.iter().map(|o| o.visited).sum::<u64>();
-        let consistent = outcomes.iter().map(|o| o.consistent).sum::<u64>();
-        let weighted = outcomes.iter().map(|o| o.weighted_visited).sum::<u64>();
-        (seconds, visited, consistent, weighted)
-    };
-
-    let (off_secs, off_visited, off_consistent, off_weighted) = shard_pair("static", false);
-    let (on_secs, on_visited, on_consistent, on_weighted) = shard_pair("adaptive", true);
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    // Scheduling is pure dispatch: split or stolen, the two runs must
-    // visit the same representatives and reach the same verdicts.
-    assert_eq!(
-        off_visited, on_visited,
-        "adaptive scheduling changed the visit count"
-    );
-    assert_eq!(
-        off_consistent, on_consistent,
-        "adaptive scheduling changed the verdicts"
-    );
-    assert_eq!(
-        off_weighted, on_weighted,
-        "adaptive scheduling changed the orbit-weighted coverage"
-    );
-
-    let mk_mode = |name, seconds, visited: u64, consistent: u64, weighted: u64| Mode {
-        name,
-        executions: visited as usize,
-        checks: visited as usize,
-        consistent: consistent as usize,
-        seconds,
-        effective: Some(weighted),
-    };
-    (
-        mk_mode(
-            "sweep-sched-static",
-            off_secs,
-            off_visited,
-            off_consistent,
-            off_weighted,
-        ),
-        mk_mode(
-            "sweep-sched",
-            on_secs,
-            on_visited,
-            on_consistent,
-            on_weighted,
-        ),
-    )
-}
-
 /// Suite synthesis under symmetry reduction — the suites must be identical
 /// to the full pipeline's (checked in `main`).
 fn run_suite_symmetry(cfg: &SynthConfig, max_events: usize) -> (Mode, SuiteReport) {
@@ -607,10 +504,6 @@ fn main() {
     let symmetry_started = Instant::now();
     let (full3, symmetry) = run_symmetry_pair(&cfg3, max_events);
     let symmetry_wall = symmetry_started.elapsed().as_secs_f64();
-    eprintln!("sched: x86-trimmed-3t, |E| = {max_events}, 2-shard makespan, static vs adaptive");
-    let sched_started = Instant::now();
-    let (sched_static, sched_adaptive) = run_sched_pair(&cfg3, max_events);
-    let sched_wall = sched_started.elapsed().as_secs_f64();
     eprintln!("suites: x86-trimmed, |E| = {max_events}, x86+TM vs x86 (Forbid + Allow)");
     let suites_started = Instant::now();
     let (suite_old, old_report) = run_suite(&cfg, max_events, false);
@@ -619,13 +512,7 @@ fn main() {
     let suites_wall = suites_started.elapsed().as_secs_f64();
     let suite_modes = [suite_old, suite_new, suite_sym];
     let symmetry_modes = [full3, symmetry];
-    let sched_modes = [sched_static, sched_adaptive];
-    for mode in modes
-        .iter()
-        .chain(&symmetry_modes)
-        .chain(&sched_modes)
-        .chain(&suite_modes)
-    {
+    for mode in modes.iter().chain(&symmetry_modes).chain(&suite_modes) {
         match mode.effective {
             Some(effective) => eprintln!(
                 "{:<17}: {} representatives covering {} ({} checks) in {:.3}s = {:.0} \
@@ -689,7 +576,6 @@ fn main() {
     let [suite_old, suite_new, _suite_sym] = &suite_modes;
     assert_eq!(suite_old.executions, suite_new.executions);
     let [full3, symmetry] = &symmetry_modes;
-    let [sched_static, sched_adaptive] = &sched_modes;
 
     let (cores, uname) = machine_fingerprint();
     let ir_speedup = ir.execs_per_sec() / baseline.execs_per_sec();
@@ -704,15 +590,13 @@ fn main() {
     let suite_workers = tm_synth::worker_count();
     let suite_speedup_per_worker = suite_speedup / suite_workers as f64;
     let symmetry_effective_ratio = symmetry.effective_per_sec() / full3.execs_per_sec();
-    let sched_makespan_gain = sched_static.seconds / sched_adaptive.seconds.max(f64::EPSILON);
     eprintln!(
         "speedup over baseline: ir {ir_speedup:.2}x, ir-incremental {incremental_speedup:.2}x \
          (incremental/ir {incremental_vs_ir:.2}x), cat-loaded {cat_speedup:.2}x \
          (cat/incremental {cat_vs_incremental:.2}x), \
          suite-incremental/suite-per-exec {suite_speedup:.2}x \
          ({suite_speedup_per_worker:.2}x per worker of {suite_workers}), \
-         symmetry effective/full-3t {symmetry_effective_ratio:.2}x, \
-         sched makespan static/adaptive {sched_makespan_gain:.2}x"
+         symmetry effective/full-3t {symmetry_effective_ratio:.2}x"
     );
     // Hash-consing must keep the text-loaded pipeline within noise of the
     // compiled-in one; only gate when the run is long enough to mean it.
@@ -744,27 +628,6 @@ fn main() {
              full 3-thread sweep"
         );
     }
-    // Adaptive scheduling must beat static 2-shard dispatch on makespan by
-    // at least 1.3x (the |E| = 6 acceptance bar). The gain is recovered
-    // *parallel* idle time — a straggler shard leaving the other cores'
-    // workers starved — so the gate arms only where that idle time can
-    // exist: two shards need at least two real cores, and the run must be
-    // long enough for the straggler effect to dominate startup noise. On a
-    // single core the two shards timeshare one serial resource, every
-    // schedule has the same makespan, and the recorded ratio only measures
-    // the (small) lease and weighing overhead.
-    if cores >= 2 && sched_static.seconds >= 0.5 {
-        assert!(
-            sched_makespan_gain >= 1.3,
-            "adaptive scheduling makespan gain fell to {sched_makespan_gain:.2}x over \
-             static shards"
-        );
-    } else if cores < 2 {
-        eprintln!(
-            "sched makespan gate skipped: {cores} core(s) leave no parallel idle time \
-             for the scheduler to recover"
-        );
-    }
 
     let mut run = String::new();
     run.push_str("    {\n");
@@ -786,7 +649,7 @@ fn main() {
     let _ = writeln!(
         run,
         "      \"wall_seconds\": {{ \"sweep\": {sweep_wall:.6}, \"symmetry\": \
-         {symmetry_wall:.6}, \"sched\": {sched_wall:.6}, \"suites\": {suites_wall:.6}, \
+         {symmetry_wall:.6}, \"suites\": {suites_wall:.6}, \
          \"total\": {:.6} }},",
         bench_started.elapsed().as_secs_f64()
     );
@@ -794,7 +657,6 @@ fn main() {
     let all_modes: Vec<&Mode> = modes
         .iter()
         .chain(&symmetry_modes)
-        .chain(&sched_modes)
         .chain(&suite_modes)
         .collect();
     for (i, mode) in all_modes.iter().enumerate() {
@@ -847,11 +709,7 @@ fn main() {
     );
     let _ = writeln!(
         run,
-        "        \"symmetry_effective_vs_incremental_3t\": {symmetry_effective_ratio:.3},"
-    );
-    let _ = writeln!(
-        run,
-        "        \"sched_makespan_static_vs_adaptive\": {sched_makespan_gain:.3}"
+        "        \"symmetry_effective_vs_incremental_3t\": {symmetry_effective_ratio:.3}"
     );
     let _ = writeln!(run, "      }}");
     run.push_str("    }");

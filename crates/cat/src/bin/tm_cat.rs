@@ -38,8 +38,10 @@
 //!                       suites identical to an uninterrupted one
 //!   --resume            replay an existing journal and continue it
 //!   --shard I/M         run only work units with id % M == I
-//!   --supervise M       spawn M shard children (checkpoints DIR/shard-I),
-//!                       restart crashed ones, then merge their journals
+//!   --supervise M       spawn M shard children (checkpoints DIR/shard-I,
+//!                       each running the static slice id % M == I), restart
+//!                       crashed ones, then merge their journals; a shard
+//!                       that exhausts its restarts leaves its units pending
 //!   --budget SECS       wall-clock budget; unfinished units stay pending
 //!   --unit-deadline S   per-unit deadline; over-deadline units are retried,
 //!                       then quarantined
@@ -49,21 +51,11 @@
 //!   --fail-plan KIND:K  fault injection: panic|panic-once|exit|stall after
 //!                       K claimed units (also: TM_SWEEP_FAIL_PLAN env var)
 //!
-//! `sweep` scheduling (adaptive dispatch; see README "Scheduling"):
-//!   --sched on|off      weight-ordered (heaviest-first) dispatch with
-//!                       cooperative unit splitting, and — under
-//!                       --supervise — cross-shard work stealing through a
-//!                       shared lease directory (default on; `off` restores
-//!                       FIFO order and static `id % M` shards)
+//! `sweep` scheduling (see README "Scheduling"): a checkpointed run's
+//! workers take the heaviest pending unit first and split units so that no
+//! worker idles while another runs a long unit.
 //!   --max-unit-weight N pre-split any unit whose weight bound exceeds N
 //!                       (default: full sweep weight / 4·threads)
-//!   --lease-dir DIR     claim units from the whole frontier via atomic
-//!                       lease files in DIR instead of a static shard slice
-//!                       (needs --shard; --supervise sets this up itself)
-//!   --lease-stale-ms MS reap leases idle longer than MS so survivors can
-//!                       steal a dead shard's units (default 10000)
-//!   --launch N          provenance stamp for lease claims (set by the
-//!                       supervisor on restarts; default 0)
 //!
 //! `sweep` observability (see README "Observability"):
 //!   --progress          live stderr progress line (`units done/total,
@@ -155,9 +147,8 @@ fn usage() -> ExitCode {
          [--checkpoint DIR [--resume] \
          [--shard I/M | --supervise M] [--budget SECS]\n                 [--unit-deadline SECS] \
          [--retries N] [--backoff-ms MS] [--sync-batch N]\n                 [--fail-plan KIND:K] \
-         [--sched on|off] [--max-unit-weight N]\n                 [--lease-dir DIR] \
-         [--lease-stale-ms MS] [--launch N]\n                 \
-         [--progress] [--report PATH] [--obs null|stderr|json:PATH]]\n  \
+         [--max-unit-weight N] [--progress] [--report PATH] \
+         [--obs null|stderr|json:PATH]]\n  \
          tm-cat lint <file.cat> [--deny warnings]"
     );
     ExitCode::from(2)
@@ -387,11 +378,7 @@ struct SweepArgs {
     backoff: Duration,
     sync_batch: usize,
     fail_plan: Option<FailPlan>,
-    sched: bool,
     max_unit_weight: Option<u64>,
-    lease_dir: Option<PathBuf>,
-    lease_stale_ms: u64,
-    launch: u32,
     progress: bool,
     report: Option<PathBuf>,
     obs_sink: SinkKind,
@@ -441,11 +428,7 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ExitCode> {
         backoff: Duration::from_millis(25),
         sync_batch: 1,
         fail_plan: None,
-        sched: true,
         max_unit_weight: None,
-        lease_dir: None,
-        lease_stale_ms: 10_000,
-        launch: 0,
         progress: false,
         report: None,
         obs_sink: SinkKind::Null,
@@ -473,8 +456,8 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ExitCode> {
             }
             "--baseline" | "--events" | "--config" | "--expect" | "--symmetry" | "--checkpoint"
             | "--shard" | "--supervise" | "--budget" | "--unit-deadline" | "--retries"
-            | "--backoff-ms" | "--sync-batch" | "--fail-plan" | "--sched" | "--max-unit-weight"
-            | "--lease-dir" | "--lease-stale-ms" | "--launch" | "--report" | "--obs" => {
+            | "--backoff-ms" | "--sync-batch" | "--fail-plan" | "--max-unit-weight"
+            | "--report" | "--obs" => {
                 let Some(value) = value else {
                     return Err(fail(format!("{flag} expects a value")));
                 };
@@ -530,15 +513,6 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ExitCode> {
                         parsed.sync_batch = n;
                     }
                     "--fail-plan" => parsed.fail_plan = Some(FailPlan::parse(value).map_err(fail)?),
-                    "--sched" => {
-                        parsed.sched = match value.as_str() {
-                            "on" => true,
-                            "off" => false,
-                            other => {
-                                return Err(fail(format!("--sched expects on|off, got `{other}`")))
-                            }
-                        }
-                    }
                     "--max-unit-weight" => {
                         let n: u64 = value
                             .parse()
@@ -547,17 +521,6 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ExitCode> {
                             return Err(fail("--max-unit-weight must be at least 1".into()));
                         }
                         parsed.max_unit_weight = Some(n);
-                    }
-                    "--lease-dir" => parsed.lease_dir = Some(PathBuf::from(value)),
-                    "--lease-stale-ms" => {
-                        parsed.lease_stale_ms = value
-                            .parse()
-                            .map_err(|_| fail("--lease-stale-ms expects milliseconds".into()))?
-                    }
-                    "--launch" => {
-                        parsed.launch = value
-                            .parse()
-                            .map_err(|_| fail("--launch expects a number".into()))?
                     }
                     "--report" => parsed.report = Some(PathBuf::from(value)),
                     "--obs" => parsed.obs_sink = SinkKind::parse(value).map_err(fail)?,
@@ -584,22 +547,11 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ExitCode> {
             || parsed.budget.is_some()
             || parsed.unit_deadline.is_some()
             || parsed.fail_plan.is_some()
-            || parsed.max_unit_weight.is_some()
-            || parsed.lease_dir.is_some())
+            || parsed.max_unit_weight.is_some())
     {
         return Err(fail(
             "--resume/--shard/--supervise/--budget/--unit-deadline/--fail-plan/\
-             --max-unit-weight/--lease-dir need --checkpoint DIR"
-                .into(),
-        ));
-    }
-    // Lease-based claiming replaces the static shard *slice* but still needs
-    // the shard *identity* to stamp its claims (the runner enforces this
-    // too; failing here gives the nicer message).
-    if parsed.lease_dir.is_some() && parsed.shard.is_none() {
-        return Err(fail(
-            "--lease-dir needs --shard I/M (or use --supervise M, which manages \
-             the lease directory itself)"
+             --max-unit-weight need --checkpoint DIR"
                 .into(),
         ));
     }
@@ -1003,10 +955,7 @@ fn sweep_checkpointed(
         backoff: parsed.backoff,
         sync_batch: parsed.sync_batch,
         fail_plan: parsed.fail_plan,
-        sched: parsed.sched,
         max_unit_weight: parsed.max_unit_weight,
-        lease_dir: parsed.lease_dir.clone(),
-        launch: parsed.launch,
         obs: obs.clone(),
         progress: parsed.progress,
         ..SweepOptions::new(checkpoint)
@@ -1035,8 +984,10 @@ fn sweep_checkpointed(
 }
 
 /// `--supervise M`: run M shard children of this very binary (each with its
-/// own checkpoint under the parent directory), restart crashed ones, then
-/// merge their journals into the final result.
+/// own checkpoint under the parent directory and the static slice
+/// `id % M == I`), restart crashed ones against their own journals, then
+/// merge the journals into the final result. A shard that exhausts its
+/// restarts leaves its units pending (exit 3); `--resume` finishes them.
 fn sweep_supervised(parsed: &SweepArgs) -> ExitCode {
     let shards = parsed.supervise.expect("checked by caller");
     let checkpoint = parsed.checkpoint.clone().expect("checked by caller");
@@ -1056,53 +1007,18 @@ fn sweep_supervised(parsed: &SweepArgs) -> ExitCode {
     let dirs: Vec<PathBuf> = (0..shards).map(shard_dir).collect();
     let start = std::time::Instant::now();
 
-    // With scheduling on, the shards claim units from the whole frontier
-    // through a shared lease directory instead of owning a static `id % M`
-    // slice; the supervisor reaps stale leases below so survivors steal a
-    // dead shard's units.
-    let lease_dir = if parsed.sched {
-        let dir = checkpoint.join(tm_sweep::LEASE_DIR);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!(
-                "tm-cat: cannot create lease directory {}: {e}",
-                dir.display()
-            );
-            return ExitCode::from(2);
-        }
-        Some(dir)
-    } else {
-        None
-    };
-    let stale_after = Duration::from_millis(parsed.lease_stale_ms);
-
     // Live progress: the children write heartbeat files next to their
     // journals unconditionally; the supervisor folds them into one stderr
-    // line, rate-limited so the poll loop stays cheap. Lease-mode shards
-    // all report the shared frontier, so their totals max rather than sum.
+    // line, rate-limited so the poll loop stays cheap.
     let mut last_print = std::time::Instant::now() - Duration::from_secs(1);
-    let mut last_reap = std::time::Instant::now();
     let mut eta = tm_obs::RateWindow::new(tm_sweep::report::ETA_WINDOW_SECS);
     let progress_dirs = dirs.clone();
-    let reap_dir = lease_dir.clone();
     let on_poll = move || {
-        if let Some(dir) = &reap_dir {
-            if last_reap.elapsed() >= Duration::from_millis(250) {
-                last_reap = std::time::Instant::now();
-                if let Ok(n @ 1..) = tm_sweep::reap_stale(dir, stale_after) {
-                    eprintln!("sweep: reassigned {n} stale lease(s)");
-                }
-            }
-        }
         if !parsed.progress || last_print.elapsed() < Duration::from_millis(200) {
             return;
         }
         last_print = std::time::Instant::now();
-        let hb = if reap_dir.is_some() {
-            Heartbeat::aggregate_shared(&progress_dirs)
-        } else {
-            Heartbeat::aggregate(&progress_dirs)
-        };
-        if let Some(hb) = hb {
+        if let Some(hb) = Heartbeat::aggregate(&progress_dirs) {
             eta.push(start.elapsed().as_secs_f64(), hb.done as f64);
             eprint!("\r{}", hb.progress_line(eta.rate()));
             use std::io::Write as _;
@@ -1134,17 +1050,8 @@ fn sweep_supervised(parsed: &SweepArgs) -> ExitCode {
             // no-op.
             cmd.arg("--resume");
             cmd.arg("--shard").arg(format!("{i}/{shards}"));
-            cmd.arg("--sched")
-                .arg(if parsed.sched { "on" } else { "off" });
             if let Some(n) = parsed.max_unit_weight {
                 cmd.arg("--max-unit-weight").arg(n.to_string());
-            }
-            if let Some(dir) = &lease_dir {
-                cmd.arg("--lease-dir").arg(dir);
-                // Stamp claims with the launch generation so a restarted
-                // shard's leases are distinguishable from its dead past
-                // self's in post-mortems.
-                cmd.arg("--launch").arg(launch.to_string());
             }
             if let Some(d) = parsed.unit_deadline {
                 cmd.arg("--unit-deadline").arg(d.as_secs_f64().to_string());
@@ -1174,12 +1081,7 @@ fn sweep_supervised(parsed: &SweepArgs) -> ExitCode {
         on_poll,
     );
     if parsed.progress {
-        let hb = if lease_dir.is_some() {
-            Heartbeat::aggregate_shared(&dirs)
-        } else {
-            Heartbeat::aggregate(&dirs)
-        };
-        if let Some(hb) = hb {
+        if let Some(hb) = Heartbeat::aggregate(&dirs) {
             // A finished run renders ETA 0s regardless of the rate; a
             // budget-stopped one honestly shows `--`.
             eprintln!("\r{}", hb.progress_line(None));

@@ -1,11 +1,13 @@
-//! End-to-end tests of the adaptive scheduler through the real `tm-cat`
-//! binary: a SIGKILLed lease-holding shard must lose its leases to the
-//! supervisor's reaper, survivors must steal and finish the work, and the
-//! final suites must be byte-identical to an unsharded run.
+//! End-to-end tests of sharding and scheduling through the real `tm-cat`
+//! binary: a static shard SIGKILLed in the middle of a unit resumes from its
+//! own checkpoint under `--supervise`, the final suites are byte-identical
+//! to an unsharded run, and the removed lease and dispatch flags are refused.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
+
+use tm_sweep::Heartbeat;
 
 const BIN: &str = env!("CARGO_BIN_EXE_tm-cat");
 
@@ -79,37 +81,36 @@ fn suites_section(out: &Output) -> String {
     kept
 }
 
-fn lease_files(dir: &Path) -> usize {
-    std::fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .filter_map(|e| e.ok())
-                .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("lease"))
-                .count()
+/// The `K` of every `units: ... (K reused from checkpoint)` line: one per
+/// shard child, plus the supervisor's merged line.
+fn reused_counts(out: &Output) -> Vec<u64> {
+    stdout(out)
+        .lines()
+        .filter(|line| line.starts_with("units: "))
+        .filter_map(|line| {
+            let (before, _) = line.split_once(" reused from checkpoint")?;
+            before.rsplit('(').next()?.parse().ok()
         })
-        .unwrap_or(0)
+        .collect()
 }
 
-/// The headline crash-tolerance story, end to end: a shard is SIGKILLed
-/// while *holding a lease mid-unit* (a stall fail-plan pins it inside a
-/// unit so the kill cannot land between units). Its lease file survives the
-/// kill, goes stale, and a supervised run over the same checkpoint reaps it
-/// — the reassignment is printed — and finishes with full coverage.
+/// The headline crash-tolerance story, end to end: static shard 0 is
+/// SIGKILLed *in the middle of a unit* (a stall fail-plan pins its second
+/// claimed unit, so the kill cannot land between units). A supervised run
+/// over the same checkpoint resumes shard 0 from its journal, runs shard 1,
+/// and merges them into suites byte-identical to a clean run.
 #[test]
-fn sigkilled_shard_leases_are_reaped_and_survivors_finish() {
+fn sigkilled_static_shard_resumes_under_supervision() {
     let clean = sweep(&[]);
     assert_eq!(clean.status.code(), Some(0));
     let clean_suites = suites_section(&clean);
 
     let dir = Scratch::new("sigkill");
     let ckpt = dir.path();
-    let leases = ckpt.join("leases");
-    std::fs::create_dir_all(&leases).expect("lease dir");
     let shard0 = ckpt.join("shard-0");
 
     // Launch shard 0 the way the supervisor would, but with a stall plan:
-    // after one completed unit it claims the next and stops making
-    // progress, holding the lease.
+    // its second claimed unit never finishes.
     let mut child = Command::new(BIN)
         .args([
             "sweep",
@@ -124,22 +125,21 @@ fn sigkilled_shard_leases_are_reaped_and_survivors_finish() {
         ])
         .arg("--checkpoint")
         .arg(&shard0)
-        .args(["--resume", "--shard", "0/2", "--sched", "on"])
-        .arg("--lease-dir")
-        .arg(&leases)
-        .args(["--fail-plan", "stall:1"])
+        .args(["--resume", "--shard", "0/2", "--fail-plan", "stall:2"])
         .env_remove("TM_SWEEP_FAIL_PLAN")
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn shard 0");
 
-    // Wait until it demonstrably holds a lease, then SIGKILL it.
+    // Wait until its checkpoint shows a completed unit: the stalled unit
+    // was claimed no later than right after it, so the shard is now inside
+    // that unit. Then SIGKILL it.
     let deadline = Instant::now() + Duration::from_secs(60);
-    while lease_files(&leases) == 0 {
+    while Heartbeat::read(&shard0).is_none_or(|hb| hb.fresh == 0) {
         assert!(
             Instant::now() < deadline,
-            "shard 0 never claimed a lease; did it crash on startup?"
+            "shard 0 never completed a unit; did it crash on startup?"
         );
         assert!(
             child.try_wait().expect("try_wait").is_none(),
@@ -149,22 +149,12 @@ fn sigkilled_shard_leases_are_reaped_and_survivors_finish() {
     }
     child.kill().expect("SIGKILL shard 0");
     let _ = child.wait();
-    assert!(
-        lease_files(&leases) > 0,
-        "the killed shard's lease must survive the kill"
-    );
 
-    // Let the orphaned lease age past the staleness bound, then supervise
-    // over the same checkpoint. The supervisor reaps the lease, a live
-    // shard steals the unit, and the sweep completes.
-    std::thread::sleep(Duration::from_millis(700));
     let out = sweep(&[
         "--checkpoint",
         ckpt.to_str().expect("utf8 temp path"),
         "--supervise",
         "2",
-        "--lease-stale-ms",
-        "500",
     ]);
     assert_eq!(
         out.status.code(),
@@ -172,63 +162,42 @@ fn sigkilled_shard_leases_are_reaped_and_survivors_finish() {
         "stderr:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("sweep: reassigned"),
-        "the supervisor must report the reaped lease, stderr:\n{err}"
+        reused_counts(&out).iter().any(|&k| k > 0),
+        "shard 0 must resume from the killed run's journal, stdout:\n{}",
+        stdout(&out)
     );
     assert_eq!(
         suites_section(&out),
         clean_suites,
-        "suites after a kill-and-steal must be byte-identical to a clean run"
+        "suites after a kill and a supervised resume must be byte-identical to a clean run"
     );
-}
-
-/// `--sched off` under supervision restores the static `id % M` sharding:
-/// no lease directory appears, and the result still matches a clean run.
-#[test]
-fn sched_off_supervision_stays_static_and_correct() {
-    let clean = sweep(&[]);
-    let clean_suites = suites_section(&clean);
-
-    let dir = Scratch::new("static");
-    let ckpt = dir.path();
-    let out = sweep(&[
-        "--checkpoint",
-        ckpt.to_str().expect("utf8 temp path"),
-        "--supervise",
-        "2",
-        "--sched",
-        "off",
-    ]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        !ckpt.join("leases").exists(),
-        "sched off must not create a lease directory"
-    );
-    assert_eq!(suites_section(&out), clean_suites);
 }
 
 #[test]
 fn scheduling_flag_misuse_exits_two() {
-    // Lease claiming needs a shard identity.
     let dir = Scratch::new("usage");
     let ckpt = dir.path().to_str().expect("utf8 temp path");
-    let leases = format!("{ckpt}/leases");
-    let out = sweep(&["--checkpoint", ckpt, "--lease-dir", &leases]);
-    assert_eq!(out.status.code(), Some(2));
+
+    // Cross-shard leases and the dispatch switch are gone: their flags are
+    // unknown options.
+    for (flag, value) in [
+        ("--sched", "on"),
+        ("--lease-dir", ckpt),
+        ("--lease-stale-ms", "1"),
+        ("--launch", "1"),
+    ] {
+        let out = sweep(&["--checkpoint", ckpt, flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag} must be refused");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown option `{flag}`")),
+            "{flag} must be an unknown option, stderr:\n{err}"
+        );
+    }
 
     // Scheduling knobs hang off the checkpointed runner.
     let out = sweep(&["--max-unit-weight", "100"]);
-    assert_eq!(out.status.code(), Some(2));
-
-    // --sched parses strictly.
-    let out = sweep(&["--checkpoint", ckpt, "--sched", "sometimes"]);
     assert_eq!(out.status.code(), Some(2));
 
     // A zero weight bound would split forever.

@@ -10,19 +10,14 @@
 //! ## On-disk format
 //!
 //! ```text
-//! header  := magic "TMSWEEP\x01" (8 bytes) | version u32 LE (= 3)
+//! header  := magic "TMSWEEP\x01" (8 bytes) | version u32 LE (= 4)
 //! record  := kind u8 | len u32 LE | payload (len bytes) | crc u32 LE
 //! ```
 //!
 //! The CRC is CRC-32 (IEEE, reflected, poly `0xEDB88320`) over
 //! `kind | len | payload`. Everything is little-endian. The format is
-//! versioned via the header; readers reject unknown versions outright
-//! rather than guessing. Version 3 added the scheduler records ([`Split`]
-//! and [`Claim`](Record::Claim)); version-2 journals are a strict record
-//! subset and still load (and may legitimately grow v3 records when an old
-//! checkpoint is resumed by a newer binary).
-//!
-//! [`Split`]: Record::Split
+//! versioned via the header; readers reject every other version outright
+//! rather than guessing.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -33,12 +28,12 @@ pub const JOURNAL_FILE: &str = "sweep.journal";
 
 const MAGIC: &[u8; 8] = b"TMSWEEP\x01";
 // Version 2 added the orbit-weighted counters to `UnitDone` (symmetry-reduced
-// sweeps); version-1 journals are rejected rather than reinterpreted.
-// Version 3 added `Split` (work-unit refinement) and `Claim` (cross-shard
-// lease provenance). Version-2 journals carry a strict subset of the record
-// kinds, so they replay unchanged.
-const VERSION: u32 = 3;
-const OLDEST_READABLE_VERSION: u32 = 2;
+// sweeps), version 3 added `Split` (work-unit refinement) and a lease `Claim`
+// record (kind 5), and version 4 removed `Claim` again. A version-3 journal
+// can hold `Claim` records, which this reader would take for a torn tail and
+// the writer would then truncate together with every later record, so only
+// version 4 is read.
+const VERSION: u32 = 4;
 const HEADER_LEN: u64 = 12;
 
 /// Cap on a single record's payload; anything larger is treated as a torn
@@ -49,7 +44,6 @@ const KIND_META: u8 = 1;
 const KIND_UNIT_DONE: u8 = 2;
 const KIND_QUARANTINE: u8 = 3;
 const KIND_SPLIT: u8 = 4;
-const KIND_CLAIM: u8 = 5;
 
 /// Bitwise CRC-32 (IEEE 802.3, reflected). Table-free: journal records are
 /// small and rare, so simplicity beats throughput here.
@@ -124,17 +118,6 @@ pub enum Record {
         /// Stable ids of the children, in the deterministic split order.
         child_ids: Vec<u64>,
     },
-    /// Provenance of a cross-shard lease claim: this journal's shard took
-    /// the unit from the shared frontier (rather than owning it statically).
-    /// Purely informational on replay — completion is still `UnitDone`.
-    Claim {
-        /// Stable id of the claimed unit.
-        unit_id: u64,
-        /// The claiming shard.
-        shard_index: u32,
-        /// The shard process launch (0 on first launch; restarts increment).
-        launch: u32,
-    },
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -180,7 +163,6 @@ impl Record {
             Record::UnitDone { .. } => KIND_UNIT_DONE,
             Record::Quarantine { .. } => KIND_QUARANTINE,
             Record::Split { .. } => KIND_SPLIT,
-            Record::Claim { .. } => KIND_CLAIM,
         }
     }
 
@@ -241,15 +223,6 @@ impl Record {
                 for &c in child_ids {
                     put_u64(&mut out, c);
                 }
-            }
-            Record::Claim {
-                unit_id,
-                shard_index,
-                launch,
-            } => {
-                put_u64(&mut out, *unit_id);
-                put_u32(&mut out, *shard_index);
-                put_u32(&mut out, *launch);
             }
         }
         out
@@ -316,11 +289,6 @@ impl Record {
                     child_ids,
                 }
             }
-            KIND_CLAIM => Record::Claim {
-                unit_id: c.u64()?,
-                shard_index: c.u32()?,
-                launch: c.u32()?,
-            },
             _ => return None,
         };
         if c.at != payload.len() {
@@ -378,10 +346,13 @@ pub fn load(path: &Path) -> io::Result<Option<LoadedJournal>> {
         ));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if !(OLDEST_READABLE_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("unsupported journal version {version}"),
+            format!(
+                "unsupported journal version {version} (this build reads version {VERSION}; \
+                 remove the checkpoint and rerun the sweep)"
+            ),
         ));
     }
 
@@ -549,11 +520,6 @@ mod tests {
                 parent_id: 99,
                 child_ids: vec![100, 101, 102],
             },
-            Record::Claim {
-                unit_id: 100,
-                shard_index: 1,
-                launch: 2,
-            },
         ]
     }
 
@@ -675,18 +641,17 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A journal written by the previous (v2) format — header version 2,
-    /// records limited to the v2 kinds — must still load and replay.
+    /// Only version-4 headers load. Versions 1–3 are refused with an error
+    /// that names the version, not read as a prefix: a version-3 lease
+    /// journal can hold `Claim` records (kind 5) that would otherwise end the
+    /// valid prefix, and a resume would truncate every record after them.
     #[test]
-    fn version_two_journals_still_load() {
-        let path = temp_path("v2-compat");
-        let records: Vec<Record> = sample_records()
-            .into_iter()
-            .filter(|r| !matches!(r, Record::Split { .. } | Record::Claim { .. }))
-            .collect();
+    fn journals_older_than_version_four_are_refused() {
+        let path = temp_path("versions");
+        let records = sample_records();
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&4u32.to_le_bytes());
         for r in &records {
             bytes.extend_from_slice(&r.framed());
         }
@@ -695,10 +660,15 @@ mod tests {
         assert_eq!(loaded.records, records);
         assert!(!loaded.truncated_tail);
 
-        // Version 1 stays rejected.
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, &bytes).expect("write");
-        assert!(load(&path).is_err());
+        for old in 1..=3u32 {
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            std::fs::write(&path, &bytes).expect("write");
+            let err = load(&path).expect_err("old versions are refused");
+            assert!(
+                err.to_string().contains(&format!("version {old}")),
+                "the error must name the version: {err}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -17,13 +17,13 @@
 //! * a unit that panics or blows its deadline is retried with backoff and
 //!   then quarantined: the sweep finishes degraded (and says so) instead of
 //!   dying;
-//! * units shard deterministically by id (`id % m == i`), and a
-//!   [`supervisor`](crate::supervisor) can keep a fleet of shard processes
-//!   alive, restarting crashed ones against their own checkpoints;
-//! * with a shared [`lease`](crate::lease) directory, shards instead
-//!   *claim* units from the whole frontier through atomic lease files —
-//!   cross-shard work stealing: a dead shard's stale leases are reaped and
-//!   its units finished by the survivors.
+//! * inside a process, workers take the heaviest pending unit first and
+//!   split oversized or in-flight units so no core idles behind a straggler;
+//! * across processes, units shard deterministically by id (`id % m == i`),
+//!   and a [`supervisor`](crate::supervisor) can keep a fleet of shard
+//!   processes alive, restarting crashed ones against their own
+//!   checkpoints. A shard that exhausts its restarts leaves its units
+//!   pending; `--resume` finishes them.
 //!
 //! Fault injection ([`FailPlan`]) is a first-class citizen: the crash/resume
 //! guarantees above are only worth having if they are exercised, so the
@@ -35,13 +35,11 @@
 
 mod codec;
 pub mod journal;
-pub mod lease;
 pub mod report;
 mod runner;
 pub mod supervisor;
 
 pub use codec::{decode_execution, encode_execution, CodecError};
-pub use lease::{reap_stale, LeaseManager, LEASE_DIR};
 pub use report::{report_json, write_report, Heartbeat, HEARTBEAT_FILE, REPORT_SCHEMA};
 pub use runner::{
     merge_sharded, run_sweep, FailKind, FailPlan, QuarantinedUnit, SweepError, SweepJob, SweepMode,

@@ -14,8 +14,7 @@
 //!
 //! Units are wildly skewed: one odometer subtree can hold orders of
 //! magnitude more executions than another, and at |E|=8 the tail unit *is*
-//! the makespan. Three mechanisms (on by default, `sched: false` restores
-//! static dispatch) attack that:
+//! the makespan. Two mechanisms attack that inside a process:
 //!
 //! * **Weight-ordered (LPT) dispatch** — every unit gets an upper-bound
 //!   weight ([`WorkUnit::weight`]); workers always take the heaviest
@@ -27,12 +26,11 @@
 //!   between-children hands the unfinished children back to the frontier.
 //!   The same mechanism preserves work at budget expiry — finished
 //!   children are journalled instead of discarding the whole unit.
-//! * **Cross-shard work stealing** — with a shared `lease_dir`, shards
-//!   stop owning static `id % M` slices: every shard sees the whole
-//!   frontier and claims units through atomic lease files (see
-//!   [`crate::lease`]). A shard that dies holding a lease goes stale and
-//!   its units are reclaimed by the survivors; duplicated completions are
-//!   reconciled (and validated identical) at merge time.
+//!
+//! Across processes a shard runs the static slice `id % M == I` of the
+//! root units, each into its own journal, and [`merge_sharded`] sums the
+//! journals. Pre-splits derive from the whole job, so every shard dices
+//! its slice exactly as an unsharded run would.
 //!
 //! Replay folds [`Record::Split`] by replacing the parent with its
 //! children in the frontier — unless a whole-parent `UnitDone` exists, in
@@ -40,12 +38,13 @@
 //! exactly what the unsplit unit would have produced, so suites stay
 //! bit-identical however the work was diced.
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use tm_exec::ir::Delta;
@@ -59,7 +58,6 @@ use tm_synth::{
 
 use crate::codec::{decode_execution, encode_execution};
 use crate::journal::{self, JournalWriter, Record, JOURNAL_FILE};
-use crate::lease::LeaseManager;
 use crate::report::{Heartbeat, ETA_WINDOW_SECS};
 use tm_exec::hash::Fnv1a;
 
@@ -242,24 +240,9 @@ pub struct SweepOptions {
     pub obs: Obs,
     /// Print a live `units done/total, execs/s, ETA` line to stderr.
     pub progress: bool,
-    /// Adaptive scheduling (on by default): weight-ordered (LPT) dispatch,
-    /// pre-splitting of oversized units, cooperative mid-run splits when
-    /// workers go idle, and work preservation at budget expiry. With
-    /// `sched: false` units run whole in their deterministic order and no
-    /// weights are computed — the static dispatch of earlier releases.
-    pub sched: bool,
     /// Pre-split any unit whose weight upper bound exceeds this; `None`
-    /// derives `total_weight / (4 × threads)`. Ignored with `sched: false`.
+    /// derives `total_weight / (4 × threads)`.
     pub max_unit_weight: Option<u64>,
-    /// Shared lease directory for cross-shard work stealing. When set,
-    /// this shard ignores its static `id % M` slice and instead claims
-    /// units from the whole frontier through atomic lease files (see
-    /// [`crate::lease`]). `shard` is still required (it names the
-    /// checkpoint and stamps the claims).
-    pub lease_dir: Option<PathBuf>,
-    /// Monotone launch counter stamped into lease claims (the supervisor
-    /// increments it per restart) — provenance only.
-    pub launch: u32,
 }
 
 impl SweepOptions {
@@ -279,10 +262,7 @@ impl SweepOptions {
             fail_plan: None,
             obs: Obs::disabled(),
             progress: false,
-            sched: true,
             max_unit_weight: None,
-            lease_dir: None,
-            launch: 0,
         }
     }
 }
@@ -433,6 +413,25 @@ struct UnitRef {
     n: usize,
     id: u64,
     unit: WorkUnit,
+    /// [`WorkUnit::weight`], computed on first use. The job's total weight,
+    /// the pre-split rule and the dispatch order all read it, so each unit
+    /// enumerates its shape vectors for it once.
+    weight: OnceCell<u64>,
+}
+
+impl UnitRef {
+    fn new(n: usize, id: u64, unit: WorkUnit) -> UnitRef {
+        UnitRef {
+            n,
+            id,
+            unit,
+            weight: OnceCell::new(),
+        }
+    }
+
+    fn weight(&self, config: &SynthConfig) -> u64 {
+        *self.weight.get_or_init(|| self.unit.weight(config, self.n))
+    }
 }
 
 /// What one completed unit contributed. Under [`Symmetry::Reduced`] the
@@ -512,26 +511,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// This shard's live claim on one leased unit. The `beat` counter is
-/// ticked by the enumeration's stop hook (see [`run_attempt`]); the
-/// monitor refreshes the lease file only when the beat has advanced, so a
-/// wedged worker lets its lease go stale. `left` counts the unfinished
-/// jobs still running under the claim — the unit itself, plus one per
-/// child handed back to the frontier by a split; when it reaches zero the
-/// lease completes (renames to a done marker).
-struct LeaseHold {
-    unit_id: u64,
-    beat: AtomicU64,
-    left: AtomicUsize,
-}
-
-/// One dispatchable piece of work: a unit (root or split-off child), its
-/// weight, and — in lease mode, once claimed — the lease hold it runs
-/// under.
+/// One dispatchable piece of work: a unit (root or split-off child) and
+/// its weight.
 struct Task {
     weight: u64,
     unit: UnitRef,
-    hold: Option<Arc<LeaseHold>>,
+}
+
+impl Task {
+    fn new(job: &SweepJob<'_>, unit: UnitRef) -> Task {
+        Task {
+            weight: unit.weight(job.config),
+            unit,
+        }
+    }
 }
 
 /// What [`Scheduler::next`] hands a worker.
@@ -542,45 +535,27 @@ enum Dispatch {
     /// The queue is empty but work is in flight — it may split and refill
     /// the queue. Nap briefly and ask again.
     Wait,
-    /// The queue is empty, nothing is in flight, but lease-blocked tasks
-    /// are parked. The caller holds a virtual in-flight token (so sibling
-    /// workers [`Dispatch::Wait`] instead of exiting) and must re-examine
-    /// the tasks, push back the still-blocked ones, and
-    /// [`Scheduler::finish`] the token.
-    Rescan(Vec<Task>),
     /// Nothing left anywhere: exit.
     Drained,
 }
 
-/// The shared work frontier. With `sched` on, the queue is kept sorted by
-/// ascending weight and popped from the end — longest-processing-time
-/// first; with `sched` off it pops in the original deterministic order and
-/// all weights are zero.
+/// The shared work frontier: a queue kept sorted by ascending weight and
+/// popped from the end — longest-processing-time first.
 struct Scheduler {
     queue: Mutex<Vec<Task>>,
-    /// Lease-blocked tasks (another shard holds the lease): parked here so
-    /// the hot dispatch loop does not spin on them.
-    deferred: Mutex<Vec<Task>>,
     in_flight: AtomicUsize,
     /// Workers currently napping in [`Dispatch::Wait`] — a nonzero value
     /// is a standing steal request to whoever runs a splittable unit.
     idle: AtomicUsize,
-    sched: bool,
 }
 
 impl Scheduler {
-    fn new(mut tasks: Vec<Task>, sched: bool) -> Scheduler {
-        if sched {
-            tasks.sort_by_key(|t| t.weight);
-        } else {
-            tasks.reverse();
-        }
+    fn new(mut tasks: Vec<Task>) -> Scheduler {
+        tasks.sort_by_key(|t| t.weight);
         Scheduler {
             queue: Mutex::new(tasks),
-            deferred: Mutex::new(Vec::new()),
             in_flight: AtomicUsize::new(0),
             idle: AtomicUsize::new(0),
-            sched,
         }
     }
 
@@ -594,37 +569,25 @@ impl Scheduler {
             return Dispatch::Run(task);
         }
         if self.in_flight.load(Ordering::SeqCst) > 0 {
-            return Dispatch::Wait;
+            Dispatch::Wait
+        } else {
+            Dispatch::Drained
         }
-        let mut deferred = self.deferred.lock().unwrap();
-        if deferred.is_empty() {
-            return Dispatch::Drained;
-        }
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        Dispatch::Rescan(std::mem::take(&mut *deferred))
     }
 
-    /// Settles one [`Dispatch::Run`] task or [`Dispatch::Rescan`] token.
+    /// Settles one [`Dispatch::Run`] task.
     fn finish(&self) {
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Returns tasks to the frontier (split-off children, or rescanned
-    /// lease-blocked tasks), keeping the weight order.
+    /// Returns split-off children to the frontier, keeping the weight
+    /// order.
     fn push(&self, tasks: Vec<Task>) {
         let mut queue = self.queue.lock().unwrap();
         for task in tasks {
-            if self.sched {
-                let pos = queue.partition_point(|t| t.weight <= task.weight);
-                queue.insert(pos, task);
-            } else {
-                queue.insert(0, task);
-            }
+            let pos = queue.partition_point(|t| t.weight <= task.weight);
+            queue.insert(pos, task);
         }
-    }
-
-    fn defer(&self, task: Task) {
-        self.deferred.lock().unwrap().push(task);
     }
 
     fn idle_waiters(&self) -> usize {
@@ -669,7 +632,6 @@ fn run_children(
     run_start: Instant,
     opts: &SweepOptions,
     sched: &Scheduler,
-    beat: &AtomicU64,
 ) -> SchedRun {
     let mut done: Vec<(UnitRef, Box<FreshDone>, f64)> = Vec::new();
     for (i, child) in children.iter().enumerate() {
@@ -692,7 +654,7 @@ fn run_children(
         }
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_attempt(job, child, run_start, opts, false, beat)
+            run_attempt(job, child, run_start, opts, false)
         }));
         match outcome {
             Ok(Attempt::Done(fresh)) => {
@@ -758,7 +720,7 @@ fn all_units(job: &SweepJob<'_>) -> Result<Vec<UnitRef>, SweepError> {
                     "work-unit id collision on {id:#018x} — cannot journal this job"
                 )));
             }
-            units.push(UnitRef { n, id, unit });
+            units.push(UnitRef::new(n, id, unit));
         }
     }
     Ok(units)
@@ -795,9 +757,6 @@ fn fold_records(records: Vec<Record>) -> Replayed {
             } => {
                 replayed.splits.insert(parent_id, child_ids);
             }
-            // Claims are provenance (which shard leased what, when); the
-            // completions themselves carry the results.
-            Record::Claim { .. } => {}
             Record::UnitDone {
                 unit_id,
                 visited,
@@ -839,9 +798,9 @@ fn fold_records(records: Vec<Record>) -> Replayed {
 /// Expands `roots` against the journalled `splits` into the frontier of
 /// *leaves*: the units whose completions the final accounting expects.
 /// A whole-unit completion always wins over a recorded split of the same
-/// unit (the journal can hold both when a slow shard finished a unit that
-/// was split and stolen elsewhere — the whole result already covers every
-/// child). Order is deterministic: roots in their given order, children in
+/// unit (merged journals can hold both when one ran the unit whole and
+/// another split it — the whole result already covers every child).
+/// Order is deterministic: roots in their given order, children in
 /// derivation order, depth first.
 ///
 /// Splits are re-derived from the unit definition and validated against the
@@ -882,17 +841,7 @@ fn expand_leaves(
             )));
         }
         for (child, id) in children.into_iter().zip(derived) {
-            walk(
-                job,
-                UnitRef {
-                    n: unit.n,
-                    id,
-                    unit: child,
-                },
-                splits,
-                completed,
-                out,
-            )?;
+            walk(job, UnitRef::new(unit.n, id, child), splits, completed, out)?;
         }
         Ok(())
     }
@@ -941,17 +890,15 @@ fn resolve_result(
 fn accounting_frontier(
     job: &SweepJob<'_>,
     roots: &[UnitRef],
-    sched: bool,
     threshold: u64,
     completed: &HashMap<u64, UnitResult>,
 ) -> Vec<UnitRef> {
     let mut out = Vec::new();
     let mut stack: Vec<UnitRef> = roots.iter().rev().cloned().collect();
     while let Some(unit) = stack.pop() {
-        if sched
-            && !completed.contains_key(&unit.id)
+        if !completed.contains_key(&unit.id)
             && unit.unit.splittable(unit.n)
-            && unit.unit.weight(job.config, unit.n) > threshold
+            && unit.weight(job.config) > threshold
         {
             for child in unit
                 .unit
@@ -960,11 +907,7 @@ fn accounting_frontier(
                 .rev()
             {
                 let id = child.stable_id(job.config, unit.n);
-                stack.push(UnitRef {
-                    n: unit.n,
-                    id,
-                    unit: child,
-                });
+                stack.push(UnitRef::new(unit.n, id, child));
             }
         } else {
             out.push(unit);
@@ -1029,7 +972,6 @@ fn run_attempt(
     run_start: Instant,
     opts: &SweepOptions,
     stall: bool,
-    beat: &AtomicU64,
 ) -> Attempt {
     let attempt_start = Instant::now();
     let budget_hit = || opts.budget.is_some_and(|b| run_start.elapsed() >= b);
@@ -1037,20 +979,12 @@ fn run_attempt(
         opts.unit_deadline
             .is_some_and(|d| attempt_start.elapsed() >= d)
     };
-    // The beat ticks prove forward progress to the lease monitor: only the
-    // enumeration's stop hook advances it, so a genuinely wedged unit lets
-    // its lease go stale and be stolen.
-    let should_stop = || {
-        beat.fetch_add(1, Ordering::Relaxed);
-        budget_hit() || deadline_hit()
-    };
+    let should_stop = || budget_hit() || deadline_hit();
 
     if stall {
         // An injected stall: the unit never finishes. Poll the stop
-        // conditions directly — deliberately NOT ticking the beat, so a
-        // stalled unit's lease goes stale and another shard can steal it —
-        // and cap the sleep so a stall without a deadline or budget cannot
-        // hang a test forever.
+        // conditions directly, and cap the sleep so a stall without a
+        // deadline or budget cannot hang a test forever.
         let cap = Duration::from_secs(30);
         while !(budget_hit() || deadline_hit()) && attempt_start.elapsed() < cap {
             std::thread::sleep(Duration::from_millis(2));
@@ -1158,38 +1092,22 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
         }
     }
 
-    let lease_mode = opts.lease_dir.is_some();
-    if lease_mode && opts.shard.is_none() {
-        return Err(SweepError::Config(
-            "a shared lease directory requires a shard spec (claims are stamped with the \
-             shard index)"
-                .to_string(),
-        ));
-    }
-
     let sweep_start = Instant::now();
     let units = all_units(job)?;
     // The pre-split threshold derives from the WHOLE job's weight and the
     // configured thread count — never from the shard slice or the pending
-    // count — so a clean run, every static shard and every lease shard
-    // split the same units the same way and their journals and totals stay
-    // interchangeable.
-    let full_weight: u64 = if opts.sched {
-        units
-            .iter()
-            .map(|u| u.unit.weight(job.config, u.n))
-            .fold(0u64, u64::saturating_add)
-    } else {
-        0
-    };
-    // Static sharding slices the space by id; a lease shard sees the whole
-    // frontier and lets the claims decide who runs what.
+    // count — so a clean run and every shard split the same units the same
+    // way and their journals and totals stay interchangeable.
+    let full_weight: u64 = units
+        .iter()
+        .map(|u| u.weight(job.config))
+        .fold(0u64, u64::saturating_add);
     let roots: Vec<UnitRef> = match opts.shard {
-        Some((i, m)) if !lease_mode => units
+        Some((i, m)) => units
             .into_iter()
             .filter(|u| u.id % u64::from(m) == u64::from(i))
             .collect(),
-        _ => units,
+        None => units,
     };
 
     let (mut writer, replayed) = open_journal(job, opts)?;
@@ -1213,8 +1131,7 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
     // The accounting frontier (see `accounting_frontier`): what
     // `total_units`, `completed_units` and `per_unit` count, immune to
     // timing-dependent mid-run splits.
-    let scope_frontier =
-        accounting_frontier(job, &roots, opts.sched, threshold, &replayed.completed);
+    let scope_frontier = accounting_frontier(job, &roots, threshold, &replayed.completed);
     let reused_units = scope_frontier
         .iter()
         .filter(|u| resolve_result(u.id, &splits, &replayed.completed).is_some())
@@ -1229,10 +1146,7 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
             .collect();
         worklist.reverse();
         while let Some(unit) = worklist.pop() {
-            if opts.sched
-                && unit.unit.splittable(unit.n)
-                && unit.unit.weight(job.config, unit.n) > threshold
-            {
+            if unit.unit.splittable(unit.n) && unit.weight(job.config) > threshold {
                 let children = unit.unit.split(job.config, unit.n, job.symmetry);
                 let child_ids: Vec<u64> = children
                     .iter()
@@ -1245,11 +1159,7 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                 splits.insert(unit.id, child_ids.clone());
                 presplits += 1;
                 for (child, id) in children.into_iter().zip(child_ids).rev() {
-                    worklist.push(UnitRef {
-                        n: unit.n,
-                        id,
-                        unit: child,
-                    });
+                    worklist.push(UnitRef::new(unit.n, id, child));
                 }
             } else {
                 todo.push(unit);
@@ -1261,21 +1171,7 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
     // pending ones. Display-only — accounting uses `scope_frontier`.
     let total_leaves = dynamic_done + todo_len;
 
-    let tasks: Vec<Task> = todo
-        .into_iter()
-        .map(|u| {
-            let weight = if opts.sched {
-                u.unit.weight(job.config, u.n)
-            } else {
-                0
-            };
-            Task {
-                weight,
-                unit: u,
-                hold: None,
-            }
-        })
-        .collect();
+    let tasks: Vec<Task> = todo.into_iter().map(|u| Task::new(job, u)).collect();
 
     let journal = Mutex::new(writer);
     let results: Mutex<HashMap<u64, UnitResult>> = Mutex::new(replayed.completed);
@@ -1287,20 +1183,7 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
     let prune_total: Mutex<ReducedCount> = Mutex::new(ReducedCount::default());
     let checker_total: Mutex<Option<CheckerTelemetry>> = Mutex::new(None);
     let splits_final: Mutex<HashMap<u64, Vec<u64>>> = Mutex::new(splits);
-    // Accounting-frontier leaves another shard completed first (discovered
-    // through their done markers): out of this shard's scope.
-    let foreign: Mutex<HashSet<u64>> = Mutex::new(HashSet::new());
-    let lease = match &opts.lease_dir {
-        Some(dir) => Some(LeaseManager::new(
-            dir,
-            opts.shard.map(|(i, _)| i).unwrap_or(0),
-            opts.launch,
-        )?),
-        None => None,
-    };
-    let lease = lease.as_ref();
-    let held: Mutex<HashMap<u64, Arc<LeaseHold>>> = Mutex::new(HashMap::new());
-    let sched = Scheduler::new(tasks, opts.sched);
+    let sched = Scheduler::new(tasks);
     let progress = ProgressState {
         total: AtomicUsize::new(total_leaves),
         done: AtomicUsize::new(dynamic_done),
@@ -1387,30 +1270,19 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
         results.lock().unwrap().insert(unit.id, result);
         Ok(())
     };
-    // Settles one finished (completed or quarantined) job slot under a
-    // lease hold; the last slot completes the lease (done marker).
-    let settle_hold = |hold: &Option<Arc<LeaseHold>>| {
-        if let (Some(l), Some(h)) = (lease, hold.as_ref()) {
-            if h.left.fetch_sub(1, Ordering::SeqCst) == 1 {
-                l.complete(h.unit_id);
-                held.lock().unwrap().remove(&h.unit_id);
-            }
-        }
-    };
 
     std::thread::scope(|scope| {
         let monitor = scope.spawn(|| {
-            monitor_loop(&progress, run_start, opts, &monitor_stop, lease, &held);
+            monitor_loop(&progress, run_start, opts, &monitor_stop);
         });
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let dummy_beat = AtomicU64::new(0);
                     'units: loop {
                         if opts.budget.is_some_and(|b| run_start.elapsed() >= b) {
                             break;
                         }
-                        let mut task = match sched.next() {
+                        let task = match sched.next() {
                             Dispatch::Run(task) => task,
                             Dispatch::Wait => {
                                 // A standing steal request: whoever runs a
@@ -1421,81 +1293,8 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                 sched.idle.fetch_sub(1, Ordering::SeqCst);
                                 continue;
                             }
-                            Dispatch::Rescan(parked) => {
-                                let mut blocked = Vec::new();
-                                for t in parked {
-                                    match lease {
-                                        Some(l) if l.is_done(t.unit.id) => {
-                                            // Another shard finished it:
-                                            // out of our scope.
-                                            if foreign.lock().unwrap().insert(t.unit.id) {
-                                                progress.total.fetch_sub(1, Ordering::Relaxed);
-                                            }
-                                        }
-                                        _ => blocked.push(t),
-                                    }
-                                }
-                                if !blocked.is_empty() {
-                                    // The holders are alive (or not yet
-                                    // reaped): back off before reclaiming.
-                                    std::thread::sleep(Duration::from_millis(50));
-                                    sched.push(blocked);
-                                }
-                                sched.finish();
-                                continue;
-                            }
                             Dispatch::Drained => break,
                         };
-                        if let Some(l) = lease {
-                            // Claim before running; split-off children
-                            // already run under their parent's claim.
-                            if task.hold.is_none() {
-                                match l.try_claim(task.unit.id) {
-                                    Ok(true) => {
-                                        let record = Record::Claim {
-                                            unit_id: task.unit.id,
-                                            shard_index: opts.shard.map(|(i, _)| i).unwrap_or(0),
-                                            launch: opts.launch,
-                                        };
-                                        if let Err(e) = journal.lock().unwrap().append(&record) {
-                                            *io_error.lock().unwrap() = Some(e);
-                                            sched.finish();
-                                            break 'units;
-                                        }
-                                        obs.counter("sweep.lease.claims").incr();
-                                        let hold = Arc::new(LeaseHold {
-                                            unit_id: task.unit.id,
-                                            beat: AtomicU64::new(0),
-                                            left: AtomicUsize::new(1),
-                                        });
-                                        held.lock()
-                                            .unwrap()
-                                            .insert(task.unit.id, Arc::clone(&hold));
-                                        task.hold = Some(hold);
-                                    }
-                                    Ok(false) => {
-                                        if l.is_done(task.unit.id) {
-                                            if foreign.lock().unwrap().insert(task.unit.id) {
-                                                progress.total.fetch_sub(1, Ordering::Relaxed);
-                                            }
-                                        } else {
-                                            obs.counter("sweep.lease.conflicts").incr();
-                                            sched.defer(task);
-                                        }
-                                        sched.finish();
-                                        continue;
-                                    }
-                                    Err(e) => {
-                                        *io_error.lock().unwrap() = Some(e);
-                                        sched.finish();
-                                        break 'units;
-                                    }
-                                }
-                            }
-                        }
-                        let task = task;
-                        let beat: &AtomicU64 =
-                            task.hold.as_ref().map(|h| &h.beat).unwrap_or(&dummy_beat);
                         if let Some(fail) = &fail_state {
                             fail.on_claim(task.unit.id);
                             if fail.is_victim(task.unit.id) && fail.plan.kind == FailKind::Exit {
@@ -1537,8 +1336,7 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                             // and budget-stop work preservation. Retries run
                             // whole, so a failed child-wise pass — which banks
                             // nothing — can never double-bank a child.
-                            let childwise = opts.sched
-                                && !injected_panic
+                            let childwise = !injected_panic
                                 && !stall
                                 && attempt_no == 1
                                 && task.unit.unit.splittable(task.unit.n);
@@ -1548,19 +1346,18 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                     .unit
                                     .split(job.config, task.unit.n, job.symmetry)
                                     .into_iter()
-                                    .map(|c| UnitRef {
-                                        n: task.unit.n,
-                                        id: c.stable_id(job.config, task.unit.n),
-                                        unit: c,
+                                    .map(|c| {
+                                        let id = c.stable_id(job.config, task.unit.n);
+                                        UnitRef::new(task.unit.n, id, c)
                                     })
                                     .collect();
-                                run_children(job, &children, run_start, opts, &sched, beat)
+                                run_children(job, &children, run_start, opts, &sched)
                             } else {
                                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                                     if injected_panic {
                                         panic!("injected panic (fail plan)");
                                     }
-                                    run_attempt(job, &task.unit, run_start, opts, stall, beat)
+                                    run_attempt(job, &task.unit, run_start, opts, stall)
                                 }));
                                 match outcome {
                                     Ok(Attempt::Done(fresh)) => SchedRun::Whole(fresh),
@@ -1582,14 +1379,12 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                         sched.finish();
                                         break 'units;
                                     }
-                                    settle_hold(&task.hold);
                                     sched.finish();
                                     break;
                                 }
                                 SchedRun::Interrupted => {
                                     // Budget expiry with nothing banked: the
-                                    // unit stays pending (its lease, if any,
-                                    // is released after the scope).
+                                    // unit stays pending.
                                     sched.finish();
                                     break 'units;
                                 }
@@ -1614,13 +1409,6 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                     progress
                                         .total
                                         .fetch_add(done.len() + rest.len() - 1, Ordering::Relaxed);
-                                    if let Some(h) = &task.hold {
-                                        // The rest children each take a slot
-                                        // under the claim, added before the
-                                        // parent slot settles so the count
-                                        // cannot dip to zero early.
-                                        h.left.fetch_add(rest.len(), Ordering::SeqCst);
-                                    }
                                     let mut io_failed = false;
                                     for (child, fresh, seconds) in done {
                                         if let Err(e) = bank(&child, *fresh, seconds, attempt_no) {
@@ -1637,26 +1425,15 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                         // Work preserved: the finished prefix
                                         // is journalled; the rest resumes from
                                         // the Split record.
-                                        settle_hold(&task.hold);
                                         sched.finish();
                                         break 'units;
                                     }
                                     let stolen = rest.len() as u64;
                                     obs.counter("sweep.sched.steals").add(stolen);
                                     progress.steals.fetch_add(stolen, Ordering::Relaxed);
-                                    let shared: Vec<Task> = rest
-                                        .into_iter()
-                                        .map(|u| {
-                                            let weight = u.unit.weight(job.config, u.n);
-                                            Task {
-                                                weight,
-                                                unit: u,
-                                                hold: task.hold.clone(),
-                                            }
-                                        })
-                                        .collect();
-                                    sched.push(shared);
-                                    settle_hold(&task.hold);
+                                    sched.push(
+                                        rest.into_iter().map(|u| Task::new(job, u)).collect(),
+                                    );
                                     sched.finish();
                                     break;
                                 }
@@ -1694,10 +1471,6 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                     reason: failure_reason,
                                     label: task.unit.unit.label(),
                                 });
-                                // A quarantine is a handled unit: the lease
-                                // completes (done marker) so other shards do
-                                // not re-run a poisoned unit.
-                                settle_hold(&task.hold);
                                 sched.finish();
                                 break;
                             }
@@ -1726,15 +1499,6 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
         let _ = monitor.join();
     });
 
-    // Whatever is still held was not completed (budget expiry, IO error):
-    // release the leases so other shards — or the next launch — can claim
-    // the units.
-    if let Some(l) = lease {
-        for hold in held.lock().unwrap().values() {
-            l.release(hold.unit_id);
-        }
-    }
-
     let run_seconds = run_start.elapsed().as_secs_f64();
     journal.lock().unwrap().sync()?;
     if let Some(e) = io_error.into_inner().unwrap() {
@@ -1743,7 +1507,6 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
 
     let raw_results = results.into_inner().unwrap();
     let splits = splits_final.into_inner().unwrap();
-    let foreign = foreign.into_inner().unwrap();
     let mut quarantined = quarantined.into_inner().unwrap();
     // Quarantines replayed from the journal still stand unless this run
     // completed the unit (they were in the frontier, so a fresh quarantine
@@ -1762,23 +1525,15 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
     }
 
     // The accounting scope is the deterministic frontier computed at
-    // setup; a lease shard additionally drops the leaves other shards
-    // completed first (a drained lease run therefore accounts for exactly
-    // the units it ran or quarantined itself — everything else was either
-    // foreign or left pending by a budget stop).
-    let mut scope_units = scope_frontier;
-    if lease_mode {
-        scope_units.retain(|u| !foreign.contains(&u.id));
-    }
-    // Roll mid-run split results up to that frontier: a leaf counts as
+    // setup. Roll mid-run split results up to it: a leaf counts as
     // completed exactly when its whole subspace is covered, however the
     // work was diced.
-    let results: HashMap<u64, UnitResult> = scope_units
+    let results: HashMap<u64, UnitResult> = scope_frontier
         .iter()
         .filter_map(|u| resolve_result(u.id, &splits, &raw_results).map(|r| (u.id, r)))
         .collect();
 
-    let scope_info: HashMap<u64, (String, usize)> = scope_units
+    let scope_info: HashMap<u64, (String, usize)> = scope_frontier
         .iter()
         .map(|u| (u.id, (u.unit.label(), u.n)))
         .collect();
@@ -1799,7 +1554,7 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
 
     // Lift quarantines of split-off children to their accounting leaf; a
     // resolved leaf extinguishes them (a retry or another worker covered
-    // the subspace) and out-of-scope ones are another shard's story.
+    // the subspace).
     let mut lifted: Vec<QuarantinedUnit> = Vec::new();
     let mut lifted_ids: HashSet<u64> = HashSet::new();
     for q in quarantined {
@@ -1870,7 +1625,7 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
     };
     let outcome = finalize(
         job,
-        scope_units,
+        scope_frontier,
         results,
         quarantined,
         reused_units,
@@ -1901,9 +1656,9 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
 }
 
 /// Live progress shared between the workers and the monitor thread.
-/// `total` moves: splits grow it, foreign completions shrink it — it
-/// tracks the *dynamic* frontier, which is what a progress display should
-/// show (accounting uses the static frontier instead).
+/// `total` moves: splits grow it. It tracks the *dynamic* frontier, which
+/// is what a progress display should show (accounting uses the static
+/// frontier instead).
 struct ProgressState {
     total: AtomicUsize,
     done: AtomicUsize,
@@ -1932,24 +1687,20 @@ impl ProgressState {
 /// The monitor thread: rewrites the heartbeat file every ~500ms (always —
 /// the shard supervisor aggregates them without any flag on the children),
 /// feeds a sliding [`RateWindow`] that turns unit completions into the
-/// progress line's ETA, refreshes this shard's held leases (only while
-/// their beats advance — a wedged worker lets its lease go stale), and,
-/// with `opts.progress`, repaints a `\r`-terminated progress line on
-/// stderr every ~200ms, finishing with a newline-terminated final line.
+/// progress line's ETA, and, with `opts.progress`, repaints a
+/// `\r`-terminated progress line on stderr every ~200ms, finishing with a
+/// newline-terminated final line.
 fn monitor_loop(
     progress: &ProgressState,
     run_start: Instant,
     opts: &SweepOptions,
     stop: &AtomicBool,
-    lease: Option<&LeaseManager>,
-    held: &Mutex<HashMap<u64, Arc<LeaseHold>>>,
 ) {
     const TICK: Duration = Duration::from_millis(25);
     const PRINT_EVERY: u32 = 8; // ~200ms
     const HEARTBEAT_EVERY: u32 = 20; // ~500ms
     let mut tick = 0u32;
     let mut window = RateWindow::new(ETA_WINDOW_SECS);
-    let mut last_beats: HashMap<u64, u64> = HashMap::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -1958,27 +1709,6 @@ fn monitor_loop(
             let hb = progress.heartbeat(run_start.elapsed());
             window.push(hb.elapsed_seconds, hb.done as f64);
             hb.write(&opts.checkpoint);
-            if let Some(l) = lease {
-                // Refresh held leases whose beat advanced since last time;
-                // first sight counts as progress (the claim is fresh).
-                let holds: Vec<(u64, u64)> = held
-                    .lock()
-                    .unwrap()
-                    .values()
-                    .map(|h| (h.unit_id, h.beat.load(Ordering::Relaxed)))
-                    .collect();
-                last_beats.retain(|id, _| holds.iter().any(|(hid, _)| hid == id));
-                for (unit_id, beat) in holds {
-                    let advanced = match last_beats.get(&unit_id) {
-                        Some(prev) => beat > *prev,
-                        None => true,
-                    };
-                    if advanced {
-                        last_beats.insert(unit_id, beat);
-                        l.refresh(unit_id);
-                    }
-                }
-            }
         }
         if opts.progress && tick.is_multiple_of(PRINT_EVERY) {
             let line = progress
@@ -2205,11 +1935,12 @@ fn assemble(
 /// (fingerprint, events, mode); which shard a unit came from is irrelevant
 /// because units are deterministic.
 ///
-/// With work stealing in play, the same unit can legitimately appear in
-/// several journals: recorded splits must agree child-for-child, and
-/// duplicated completions must agree on every count (a stolen-and-also-
-/// finished unit ran twice — the runs being deterministic, any
-/// disagreement means a corrupted or foreign journal). Candidate *lists*
+/// The journals come from outside this process, so they are checked
+/// against each other too. The same unit can appear in several of them
+/// (say, an unsharded journal of the same job passed next to the shards'):
+/// recorded splits must agree child-for-child, and duplicated completions
+/// must agree on every count (units being deterministic, any disagreement
+/// means a corrupted or foreign journal). Candidate *lists*
 /// may differ between a whole run and a child-wise run of the same unit
 /// (per-child signature dedup can bank extra duplicates); global assembly
 /// removes those again, so the first-seen list is kept.

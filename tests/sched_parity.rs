@@ -1,25 +1,22 @@
 //! Scheduling parity: adaptive dispatch must not change what a sweep
 //! computes.
 //!
-//! The contract under test: weight-ordered dispatch, unit pre-splitting,
-//! budget-stop work preservation and lease-based cross-shard stealing are
-//! pure *scheduling* choices — a split or stolen run produces suites
-//! byte-identical (signatures, counts, histograms, enumeration totals) to
-//! the static FIFO dispatch of `sched: false`, and a shard that dies
-//! holding leases only costs latency, never coverage.
+//! The contract under test: weight-ordered dispatch, unit pre-splitting and
+//! budget-stop work preservation are pure *scheduling* choices. A split run
+//! produces suites byte-identical (signatures, counts, histograms,
+//! enumeration totals) to `synthesise_suites_with` on the same job, which
+//! runs on `enumerate`'s worker pool rather than the sweep runner's
+//! scheduler, so the reference shares no dispatch code with the runs under
+//! test.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use tm_weak_memory::models::{MemoryModel, ScModel};
 use tm_weak_memory::obs::Obs;
-use tm_weak_memory::sweep::{
-    merge_sharded, reap_stale, run_sweep, LeaseManager, SweepJob, SweepMode, SweepOptions,
-    SweepStatus,
-};
+use tm_weak_memory::sweep::{run_sweep, SweepJob, SweepMode, SweepOptions, SweepStatus};
 use tm_weak_memory::synth::{
-    canonical_signature, work_units, CanonSig, SuiteReport, Symmetry, SynthConfig,
+    canonical_signature, synthesise_suites_with, CanonSig, SuiteReport, Symmetry, SynthConfig,
 };
 
 /// A fresh scratch directory under the system temp dir; removed on drop.
@@ -98,6 +95,22 @@ fn profile(report: &SuiteReport) -> SuiteProfile {
     )
 }
 
+/// The independent reference: the same job's suites from
+/// `synthesise_suites_with`.
+fn reference_profile(
+    tm: &dyn MemoryModel,
+    base: &dyn MemoryModel,
+    config: &SynthConfig,
+) -> SuiteProfile {
+    profile(&synthesise_suites_with(
+        tm,
+        base,
+        config,
+        config.max_events,
+        Symmetry::Full,
+    ))
+}
+
 /// Forcing every splittable unit apart with `--max-unit-weight 1` must not
 /// change the suites, the visit totals, or the per-execution verdicts —
 /// only how the work was diced.
@@ -106,39 +119,45 @@ fn forced_presplit_run_matches_unscheduled_run() {
     let config = trimmed_config();
     let (tm, base) = (ScModel::tsc(), ScModel::sc());
     let job = suites_job(&tm, &base, &config);
+    let reference = reference_profile(&tm, &base, &config);
 
-    let off_dir = Scratch::new("presplit-off");
-    let mut off_opts = SweepOptions::new(off_dir.path());
-    off_opts.sched = false;
-    let off = run_sweep(&job, &off_opts).expect("sched-off run");
-    assert_eq!(off.status, SweepStatus::Complete);
-    let off_profile = profile(off.suites.as_ref().expect("suites mode"));
+    let default_dir = Scratch::new("presplit-default");
+    let default_obs = Obs::disabled();
+    let mut default_opts = SweepOptions::new(default_dir.path());
+    default_opts.obs = default_obs.clone();
+    let default = run_sweep(&job, &default_opts).expect("default run");
+    assert_eq!(default.status, SweepStatus::Complete);
 
-    let on_dir = Scratch::new("presplit-on");
-    let obs = Obs::disabled();
-    let mut on_opts = SweepOptions::new(on_dir.path());
-    on_opts.max_unit_weight = Some(1);
-    on_opts.obs = obs.clone();
-    let on = run_sweep(&job, &on_opts).expect("sched-on run");
-    assert_eq!(on.status, SweepStatus::Complete);
+    let forced_dir = Scratch::new("presplit-forced");
+    let forced_obs = Obs::disabled();
+    let mut forced_opts = SweepOptions::new(forced_dir.path());
+    forced_opts.max_unit_weight = Some(1);
+    forced_opts.obs = forced_obs.clone();
+    let forced = run_sweep(&job, &forced_opts).expect("forced-split run");
+    assert_eq!(forced.status, SweepStatus::Complete);
 
+    let presplits = |obs: &Obs| obs.counter("sweep.sched.presplit").get();
     assert!(
-        obs.counter("sweep.sched.presplit").get() > 0,
-        "a weight bound of 1 must split something"
+        presplits(&forced_obs) > presplits(&default_obs),
+        "a weight bound of 1 must pre-split more units than the default bound ({} vs {})",
+        presplits(&forced_obs),
+        presplits(&default_obs)
     );
     assert!(
-        on.total_units > off.total_units,
+        forced.total_units > default.total_units,
         "splitting must refine the unit frontier ({} vs {})",
-        on.total_units,
-        off.total_units
+        forced.total_units,
+        default.total_units
     );
-    assert_eq!(on.visited, off.visited);
-    assert_eq!(on.weighted_visited, off.weighted_visited);
-    assert_eq!(
-        profile(on.suites.as_ref().expect("suites mode")),
-        off_profile,
-        "split suites must be identical to the unsplit run"
-    );
+    assert_eq!(forced.visited, default.visited);
+    assert_eq!(forced.weighted_visited, default.weighted_visited);
+    for (name, outcome) in [("default", &default), ("forced-split", &forced)] {
+        assert_eq!(
+            profile(outcome.suites.as_ref().expect("suites mode")),
+            reference,
+            "{name} run's suites must be identical to synthesise_suites_with's"
+        );
+    }
 }
 
 /// A budget stop mid-run under maximal splitting, then a resume, lands on
@@ -149,12 +168,7 @@ fn budget_stop_with_splits_resumes_to_identical_suites() {
     let config = trimmed_config();
     let (tm, base) = (ScModel::tsc(), ScModel::sc());
     let job = suites_job(&tm, &base, &config);
-
-    let clean_dir = Scratch::new("budget-clean");
-    let mut clean_opts = SweepOptions::new(clean_dir.path());
-    clean_opts.sched = false;
-    let clean = run_sweep(&job, &clean_opts).expect("clean run");
-    let clean_profile = profile(clean.suites.as_ref().expect("suites mode"));
+    let reference = reference_profile(&tm, &base, &config);
 
     let dir = Scratch::new("budget");
     let mut opts = SweepOptions::new(dir.path());
@@ -173,127 +187,6 @@ fn budget_stop_with_splits_resumes_to_identical_suites() {
     );
     assert_eq!(
         profile(resumed.suites.as_ref().expect("suites mode")),
-        clean_profile
-    );
-}
-
-/// Two shards claiming from a shared lease directory — no static `id % M`
-/// slice at all — must between them complete every unit exactly once, and
-/// merge to the unscheduled unsharded result.
-#[test]
-fn lease_claimed_shards_merge_to_the_unsharded_result() {
-    let config = trimmed_config();
-    let (tm, base) = (ScModel::tsc(), ScModel::sc());
-
-    let clean_dir = Scratch::new("lease-clean");
-    let mut clean_opts = SweepOptions::new(clean_dir.path());
-    clean_opts.sched = false;
-    let clean = run_sweep(&suites_job(&tm, &base, &config), &clean_opts).expect("clean run");
-    let clean_profile = profile(clean.suites.as_ref().expect("suites mode"));
-
-    let dir0 = Scratch::new("lease-0");
-    let dir1 = Scratch::new("lease-1");
-    let lease_root = Scratch::new("lease-dir");
-    let obs = Obs::disabled();
-    let outcomes: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = [(0u32, dir0.path()), (1u32, dir1.path())]
-            .into_iter()
-            .map(|(i, checkpoint)| {
-                let (config, lease, obs) = (&config, lease_root.path(), obs.clone());
-                let (tm, base) = (&tm, &base);
-                scope.spawn(move || {
-                    let mut opts = SweepOptions::new(checkpoint);
-                    opts.shard = Some((i, 2));
-                    opts.lease_dir = Some(lease);
-                    // One worker per shard: contention comes from the two
-                    // processes-worth of claimants, not intra-shard racing.
-                    opts.threads = Some(1);
-                    opts.obs = obs;
-                    run_sweep(&suites_job(tm, base, config), &opts).expect("lease shard run")
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for outcome in &outcomes {
-        assert_eq!(outcome.status, SweepStatus::Complete);
-        assert!(
-            outcome.suites.is_none(),
-            "a lease shard must not assemble suites on its own"
-        );
-    }
-    assert!(
-        obs.counter("sweep.lease.claims").get() > 0,
-        "lease shards must claim their units"
-    );
-
-    let merged = merge_sharded(
-        &suites_job(&tm, &base, &config),
-        &[dir0.path(), dir1.path()],
-    )
-    .expect("merge");
-    assert_eq!(merged.status, SweepStatus::Complete);
-    assert_eq!(merged.visited, clean.visited);
-    assert_eq!(
-        profile(merged.suites.as_ref().expect("suites mode")),
-        clean_profile,
-        "lease-claimed shards must merge to the unsharded suites"
-    );
-}
-
-/// A shard that died holding a lease (simulated by an abandoned, never
-/// refreshed lease file) blocks that unit only until the lease goes stale:
-/// once reaped, a live shard claims the unit and the sweep completes with
-/// full coverage.
-#[test]
-fn stale_lease_is_reaped_and_the_unit_stolen() {
-    let config = trimmed_config();
-    let (tm, base) = (ScModel::tsc(), ScModel::sc());
-    let job = suites_job(&tm, &base, &config);
-
-    let dir = Scratch::new("steal");
-    let lease_root = Scratch::new("steal-leases");
-
-    // Shard 9 "died" right after claiming the first root unit: the lease
-    // file exists but nobody will ever refresh or complete it.
-    let units = work_units(&config, config.max_events, Symmetry::Full);
-    let dead_unit = units[0].stable_id(&config, config.max_events);
-    let dead = LeaseManager::new(lease_root.path(), 9, 0).expect("dead shard manager");
-    assert!(dead.try_claim(dead_unit).expect("dead claim"));
-
-    // The supervisor stand-in: reap leases older than 100ms, twice a
-    // second, until the run ends.
-    let stop = AtomicBool::new(false);
-    let reaped_total = AtomicUsize::new(0);
-    let outcome = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(50));
-                if let Ok(n) = reap_stale(&lease_root.path(), Duration::from_millis(100)) {
-                    reaped_total.fetch_add(n, Ordering::Relaxed);
-                }
-            }
-        });
-        // Keep units whole so the frontier is exactly the root units and
-        // the abandoned lease is guaranteed to be contested.
-        let mut opts = SweepOptions::new(dir.path());
-        opts.shard = Some((0, 1));
-        opts.lease_dir = Some(lease_root.path());
-        opts.max_unit_weight = Some(u64::MAX);
-        opts.threads = Some(1);
-        let outcome = run_sweep(&job, &opts).expect("stealing run");
-        stop.store(true, Ordering::Relaxed);
-        outcome
-    });
-
-    assert_eq!(outcome.status, SweepStatus::Complete);
-    assert_eq!(
-        outcome.completed_units, outcome.total_units,
-        "the stolen unit must be completed, not skipped"
-    );
-    assert_eq!(outcome.total_units, units.len());
-    assert!(
-        reaped_total.load(Ordering::Relaxed) > 0,
-        "the abandoned lease must have been reaped"
+        reference
     );
 }

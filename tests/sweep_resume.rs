@@ -266,6 +266,9 @@ fn sharded_runs_merge_into_the_unsharded_result() {
     for (i, dir) in [&dir0, &dir1].into_iter().enumerate() {
         let mut opts = SweepOptions::new(dir.path());
         opts.shard = Some((i as u32, 2));
+        // Two workers, so an idle one can split a unit mid-run inside the
+        // shard.
+        opts.threads = Some(2);
         let outcome = run_sweep(&job, &opts).expect("shard run");
         assert_eq!(outcome.status, SweepStatus::Complete);
         assert!(
@@ -280,6 +283,19 @@ fn sharded_runs_merge_into_the_unsharded_result() {
     assert_eq!(
         shard_outcomes.iter().map(|o| o.total_units).sum::<usize>(),
         clean.total_units
+    );
+    // Per-shard totals are exact: every representative is counted by
+    // exactly one shard, however its units were split.
+    assert_eq!(
+        shard_outcomes.iter().map(|o| o.visited).sum::<u64>(),
+        clean.visited
+    );
+    assert_eq!(
+        shard_outcomes
+            .iter()
+            .map(|o| o.weighted_visited)
+            .sum::<u64>(),
+        clean.weighted_visited
     );
 
     let merged = merge_sharded(&job, &[dir0.path(), dir1.path()]).expect("merge");
